@@ -450,7 +450,6 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
             p99_us: None,
             cache_hit_rate: None,
             degraded_recomputes: None,
-            segment_rebuilds: None,
             deadline_miss_rate: None,
             hedge_win_rate: None,
             ingest_retries: None,
@@ -475,10 +474,10 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
 /// rate must be at least as good as the near-uniform one's.
 ///
 /// A third row serves the same skewed workload after a hot segment blob
-/// is corrupted in place, with the circuit breaker set to trip on the
-/// first degraded recompute: queries keep getting answered (degrade
-/// path), the segment is rebuilt in place, and the row records how many
-/// recomputes and rebuilds the run cost.
+/// is corrupted in place: queries keep getting answered through the
+/// store's degraded recompute, a scrub pass then repairs the blob, and
+/// the row records how many recomputes the run cost and how many blobs
+/// the scrub repaired.
 ///
 /// [`CubeServer`]: spcube_cubestore::CubeServer
 pub fn serve_bench(cfg: &ExpConfig) -> Vec<Measurement> {
@@ -486,7 +485,7 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<Measurement> {
 
     use spcube_common::Mask;
     use spcube_core::{SpCube, SpCubeConfig};
-    use spcube_cubestore::{segment_path, BlobStore, CubeStore};
+    use spcube_cubestore::{segment_path, BlobStore, CubeStore, ScrubConfig, Scrubber};
     use spcube_mapreduce::Dfs;
 
     use crate::serving::{run_serving, ServeBenchConfig};
@@ -537,7 +536,6 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<Measurement> {
             p99_us: Some(report.p99_us),
             cache_hit_rate: Some(report.cache_hit_rate),
             degraded_recomputes: Some(report.degraded_recomputes),
-            segment_rebuilds: Some(report.segment_rebuilds),
             deadline_miss_rate: Some(report.deadline_miss_rate),
             hedge_win_rate: Some(report.hedge_win_rate),
             ingest_retries: None,
@@ -561,10 +559,11 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<Measurement> {
         "skewed workload should cache at least as well: uniform {uniform_hit:.3} vs skewed {skewed_hit:.3}"
     );
 
-    // Crash/rebuild row: corrupt a segment the workload provably queries
-    // and serve it with a hair-trigger circuit breaker. Serving must not
-    // fail a single query; the first degraded recompute rebuilds the
-    // blob, and the counters land in the CSV.
+    // Crash/degrade row: corrupt a segment the workload provably queries
+    // and serve it with the recovery relation attached. Serving must not
+    // fail a single query: the store degrades to a recompute. A scrub
+    // pass then repairs exactly that blob, after which a reopened store
+    // serves the same workload without recomputing anything.
     let workload = datagen::gen_query_workload(&rel, queries, 1.5, 0x9e + 1);
     let hot = workload
         .iter()
@@ -578,23 +577,41 @@ pub fn serve_bench(cfg: &ExpConfig) -> Vec<Measurement> {
         .expect("workload has a direct cuboid query");
     dfs.corrupt_byte(&segment_path("serve", stored.report.generation, 4, hot), 24)
         .expect("corrupting hot segment");
-    let crashed_store = Arc::new(
-        CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "serve")
-            .expect("store reopen failed")
-            .with_recovery(rel.clone())
-            .with_cache_capacity(4)
-            .with_rebuild_threshold(1),
+    let reopen = || {
+        Arc::new(
+            CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "serve")
+                .expect("store reopen failed")
+                .with_recovery(rel.clone())
+                .with_cache_capacity(4),
+        )
+    };
+    let report = run_serving(reopen(), &workload, &serve_cfg);
+    assert_eq!(
+        report.typed_errors, 0,
+        "the corrupted segment failed a query"
     );
-    let report = run_serving(Arc::clone(&crashed_store), &workload, &serve_cfg);
     assert!(
         report.degraded_recomputes >= 1,
         "corrupted segment never hit the degrade path"
     );
-    assert!(
-        report.segment_rebuilds >= 1,
-        "circuit breaker never rebuilt the corrupted segment"
+    let scrub = Scrubber::new(ScrubConfig::default())
+        .with_recovery(rel.clone())
+        .run(dfs.as_ref(), "serve")
+        .expect("scrub failed");
+    assert_eq!(
+        (scrub.corrupt, scrub.repaired),
+        (1, 1),
+        "scrub must repair exactly the corrupted blob: {scrub:?}"
     );
-    rows.push(measurement("Serve/crash-rebuild", 1.5, &report));
+    let healed = run_serving(reopen(), &workload, &serve_cfg);
+    assert_eq!(
+        healed.degraded_recomputes, 0,
+        "the scrubbed store still degrades"
+    );
+    rows.push(Measurement {
+        scrub_repaired: Some(scrub.repaired),
+        ..measurement("Serve/crash-degrade", 1.5, &report)
+    });
 
     // Chaos rows: the same skewed workload through a latency-spiking blob
     // layer (one segment read in ten stalls for 25ms), cache capacity 1
@@ -768,7 +785,6 @@ pub fn store_incremental(cfg: &ExpConfig) -> Vec<Measurement> {
         p99_us: None,
         cache_hit_rate: None,
         degraded_recomputes: None,
-        segment_rebuilds: None,
         deadline_miss_rate: None,
         hedge_win_rate: None,
         ingest_retries: None,
@@ -832,7 +848,6 @@ pub fn store_incremental(cfg: &ExpConfig) -> Vec<Measurement> {
             p99_us: Some(r.serving.p99_us),
             cache_hit_rate: Some(r.serving.cache_hit_rate),
             degraded_recomputes: Some(r.serving.degraded_recomputes),
-            segment_rebuilds: Some(r.serving.segment_rebuilds),
             deadline_miss_rate: Some(r.serving.deadline_miss_rate),
             hedge_win_rate: Some(r.serving.hedge_win_rate),
             ..timing_row("Store/serve-under-ingest", 0.0, 0)
@@ -893,7 +908,6 @@ pub fn store_incremental(cfg: &ExpConfig) -> Vec<Measurement> {
             p99_us: Some(r.serving.p99_us),
             cache_hit_rate: Some(r.serving.cache_hit_rate),
             degraded_recomputes: Some(r.serving.degraded_recomputes),
-            segment_rebuilds: Some(r.serving.segment_rebuilds),
             deadline_miss_rate: Some(r.serving.deadline_miss_rate),
             hedge_win_rate: Some(r.serving.hedge_win_rate),
             ingest_retries: Some(r.ingest_retries),

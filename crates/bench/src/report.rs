@@ -49,13 +49,12 @@ impl<'a> Table<'a> {
         ));
         if serving {
             out.push_str(&format!(
-                " {:>10} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
+                " {:>10} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
                 "qps",
                 "p50_us",
                 "p99_us",
                 "hit_rate",
                 "degrade",
-                "rebuild",
                 "dl_miss",
                 "hdg_win",
                 "ing_rtry",
@@ -95,13 +94,12 @@ impl<'a> Table<'a> {
             if serving {
                 let count = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |n| n.to_string());
                 out.push_str(&format!(
-                    " {:>10} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
+                    " {:>10} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
                     opt(m.qps, 0),
                     opt(m.p50_us, 1),
                     opt(m.p99_us, 1),
                     opt(m.cache_hit_rate, 3),
                     count(m.degraded_recomputes),
-                    count(m.segment_rebuilds),
                     opt(m.deadline_miss_rate, 3),
                     opt(m.hedge_win_rate, 3),
                     count(m.ingest_retries),
@@ -120,7 +118,7 @@ impl<'a> Table<'a> {
 pub const CSV_HEADER: &str = "experiment,algo,x,total_seconds,avg_map_seconds,avg_reduce_seconds,\
 map_output_mb,sketch_kb,rounds,spilled_mb,imbalance,cube_groups,wall_seconds,\
 task_retries,tasks_lost,re_executions,speculative_launches,wasted_seconds,fallback_events,\
-qps,p50_us,p99_us,cache_hit_rate,degraded_recomputes,segment_rebuilds,\
+qps,p50_us,p99_us,cache_hit_rate,degraded_recomputes,\
 deadline_miss_rate,hedge_win_rate,ingest_retries,scrub_repaired";
 
 /// Append measurements of one experiment to a CSV file (with header when
@@ -146,7 +144,7 @@ pub fn write_csv(path: impl AsRef<Path>, experiment: &str, rows: &[Measurement])
     for m in rows {
         writeln!(
             f,
-            "{},{},{},{},{:.6},{:.6},{:.6},{},{},{:.6},{:.4},{},{:.3},{},{},{},{},{:.6},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{:.6},{:.6},{:.6},{},{},{:.6},{:.4},{},{:.3},{},{},{},{},{:.6},{},{},{},{},{},{},{},{},{},{}",
             experiment,
             m.algo,
             m.x,
@@ -171,7 +169,6 @@ pub fn write_csv(path: impl AsRef<Path>, experiment: &str, rows: &[Measurement])
             opt(m.p99_us),
             opt(m.cache_hit_rate),
             count(m.degraded_recomputes),
-            count(m.segment_rebuilds),
             opt(m.deadline_miss_rate),
             opt(m.hedge_win_rate),
             count(m.ingest_retries),
@@ -295,7 +292,6 @@ mod tests {
             p99_us: None,
             cache_hit_rate: None,
             degraded_recomputes: None,
-            segment_rebuilds: None,
             deadline_miss_rate: None,
             hedge_win_rate: None,
             ingest_retries: None,
@@ -327,7 +323,6 @@ mod tests {
         served.p99_us = Some(87.25);
         served.cache_hit_rate = Some(0.913);
         served.degraded_recomputes = Some(4);
-        served.segment_rebuilds = Some(1);
         served.deadline_miss_rate = Some(0.021);
         served.hedge_win_rate = Some(0.875);
         served.ingest_retries = Some(42);
@@ -340,7 +335,6 @@ mod tests {
             "p99_us",
             "hit_rate",
             "degrade",
-            "rebuild",
             "dl_miss",
             "hdg_win",
             "ing_rtry",
@@ -354,7 +348,7 @@ mod tests {
         assert!(table.contains("0.875"));
         assert!(table.contains("42"));
         assert!(CSV_HEADER.ends_with(
-            "qps,p50_us,p99_us,cache_hit_rate,degraded_recomputes,segment_rebuilds,\
+            "qps,p50_us,p99_us,cache_hit_rate,degraded_recomputes,\
              deadline_miss_rate,hedge_win_rate,ingest_retries,scrub_repaired"
         ));
     }

@@ -119,9 +119,6 @@ pub struct Measurement {
     pub cache_hit_rate: Option<f64>,
     /// Segments served via degraded BUC recompute (serve-bench rows only).
     pub degraded_recomputes: Option<u64>,
-    /// Segment blobs rebuilt in place by the circuit breaker (serve-bench
-    /// rows only).
-    pub segment_rebuilds: Option<u64>,
     /// Deadline misses over admissions, `[0, 1]` (serve-bench rows with
     /// deadlines only).
     pub deadline_miss_rate: Option<f64>,
@@ -131,8 +128,8 @@ pub struct Measurement {
     /// Write-path retries the step's ingest session spent riding out
     /// injected faults (chaos-ingest rows only).
     pub ingest_retries: Option<u64>,
-    /// Blobs the post-step integrity scrub repaired in place
-    /// (chaos-ingest rows only).
+    /// Blobs an integrity scrub repaired in place (chaos-ingest and
+    /// crash-degrade rows only).
     pub scrub_repaired: Option<u64>,
 }
 
@@ -225,7 +222,6 @@ pub fn run_algo(algo: Algo, w: &Workload, agg: AggSpec) -> Measurement {
                 p99_us: None,
                 cache_hit_rate: None,
                 degraded_recomputes: None,
-                segment_rebuilds: None,
                 deadline_miss_rate: None,
                 hedge_win_rate: None,
                 ingest_retries: None,
@@ -260,7 +256,6 @@ pub fn run_algo(algo: Algo, w: &Workload, agg: AggSpec) -> Measurement {
                 p99_us: None,
                 cache_hit_rate: None,
                 degraded_recomputes: None,
-                segment_rebuilds: None,
                 deadline_miss_rate: None,
                 hedge_win_rate: None,
                 ingest_retries: None,

@@ -126,8 +126,6 @@ pub struct ServingReport {
     pub overload_retries: u64,
     /// Segments served via the degraded BUC-recompute path.
     pub degraded_recomputes: u64,
-    /// Segment blobs rebuilt in place by the per-cuboid circuit breaker.
-    pub segment_rebuilds: u64,
     /// Queries that ended in a typed non-answer (`Response::Failed`
     /// after exhausted retries, or a blown deadline).
     pub typed_errors: u64,
@@ -192,7 +190,6 @@ pub fn run_serving(
             ClientConfig {
                 hedge: cfg.hedge,
                 max_attempts: cfg.max_attempts.max(1),
-                ..ClientConfig::default()
             },
         )
         .expect("serve-bench client config is valid"),
@@ -307,7 +304,6 @@ pub fn run_serving(
         },
         overload_retries: overload_retries.load(Ordering::Relaxed),
         degraded_recomputes: stats_after.degraded_recomputes - stats_before.degraded_recomputes,
-        segment_rebuilds: stats_after.segment_rebuilds - stats_before.segment_rebuilds,
         typed_errors: typed_errors.load(Ordering::Relaxed),
         deadline_misses: server_stats.deadline_exceeded,
         deadline_miss_rate: server_stats.deadline_miss_rate(),
@@ -490,7 +486,6 @@ mod tests {
         assert!(report.p99_us >= report.p50_us);
         assert!((0.0..=1.0).contains(&report.cache_hit_rate));
         assert_eq!(report.degraded_recomputes, 0);
-        assert_eq!(report.segment_rebuilds, 0);
     }
 
     #[test]

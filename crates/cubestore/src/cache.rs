@@ -79,8 +79,7 @@ impl SegmentCache {
     }
 
     /// Drop the cached segment for `mask`, if any. Used to invalidate a
-    /// cuboid whose backing blob changed underneath the cache (e.g. a
-    /// circuit-breaker rebuild).
+    /// cuboid whose backing blob changed underneath the cache.
     pub fn remove(&mut self, mask: Mask) -> bool {
         self.entries.remove(&mask).is_some()
     }

@@ -12,20 +12,23 @@
 //!   deadline) are returned immediately — retrying an overloaded server
 //!   amplifies the overload, and a blown deadline is already final.
 //! * **Hedging** — after a p99-derived delay (from the server's live
-//!   [`names::SERVE_QUERY_US`] histogram, clamped to a configured band),
-//!   a second copy of a slow request is submitted and whichever answer
+//!   [`names::SERVE_QUERY_US`] histogram, clamped to a fixed band), a
+//!   second copy of a slow request is submitted and whichever answer
 //!   lands first wins. Hedging turns a latency-spiked blob read into a
 //!   near-median read at the cost of one duplicate request.
 //! * **Circuit breaker** — repeated failures against one cuboid trip a
-//!   per-cuboid breaker (generalizing the store's rebuild breaker): while
-//!   open, queries skip the server entirely and are answered from the
-//!   degraded BUC-recompute path (bit-exact, from the recovery relation)
-//!   or fail typed when no recovery is attached. After a cooldown on the
-//!   server's clock the breaker half-opens: one trial request goes
-//!   through; success closes the breaker, failure re-opens it.
+//!   per-cuboid breaker: while open, queries skip the server entirely and
+//!   fail typed (`Response::Failed`), shedding load from a cuboid the
+//!   store cannot serve. After a cooldown on the server's clock the
+//!   breaker half-opens: one trial request goes through; success closes
+//!   the breaker, failure re-opens it.
+//!
+//! The client never computes an answer itself. Recomputing a damaged
+//! cuboid is the store's degraded read path, and rewriting it is the
+//! scrubber's job.
 //!
 //! Every decision is observable: `serve.hedge.fired`, `serve.hedge.won`,
-//! `serve.breaker.open`, and `serve.degraded` counters/events match
+//! `serve.breaker.open`, and `serve.breaker.shed` counters/events match
 //! [`ClientStats`] exactly.
 
 use std::collections::BTreeMap;
@@ -35,19 +38,39 @@ use std::time::Duration;
 
 use spcube_common::retry::Backoff;
 use spcube_common::sync::lock_or_recover;
-use spcube_common::{Error, Mask, Relation, Result};
-use spcube_cubealg::{slice_slot, CubeRead};
+use spcube_common::{Error, Mask, Result};
 use spcube_obs::{
     names, FlightLabel, FlightName, FlightRec, Histogram, ObsHandle, PhaseBreakdown, QueryCtx,
     SpanId,
 };
 
-use crate::recover::recompute_cuboid;
-use crate::segment::Segment;
-use crate::server::{answer, CubeServer, Deadline, Request, Response, ServeError};
+use crate::server::{CubeServer, Deadline, Request, Response, ServeError};
 
-/// Outcome of a resilient query: the server/degraded answer, or a typed
-/// refusal that the client deliberately does not retry.
+/// Delay schedule between retries, in seconds.
+const BACKOFF: Backoff = Backoff::Exponential {
+    base_s: 0.0005,
+    factor: 2.0,
+};
+/// Seed for the deterministic retry jitter.
+const RETRY_SEED: u64 = 0;
+/// Latency quantile the hedge delay is derived from.
+const HEDGE_QUANTILE: f64 = 0.99;
+/// Lower clamp on the hedge delay (also the cold-start delay while the
+/// latency histogram is still empty), microseconds.
+const MIN_HEDGE_DELAY_US: u64 = 200;
+/// Upper clamp on the hedge delay, microseconds. The cap is what keeps
+/// hedging useful under heavy-tailed latency: p99 of a spiky distribution
+/// converges to the spike itself.
+const MAX_HEDGE_DELAY_US: u64 = 10_000;
+/// Consecutive `Failed` answers for one cuboid that trip its breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long a tripped breaker stays open before half-opening,
+/// microseconds on the server's clock.
+const BREAKER_COOLDOWN_US: u64 = 50_000;
+
+/// Outcome of a resilient query: the server's answer (or the open
+/// breaker's typed `Failed`), or a typed refusal that the client
+/// deliberately does not retry.
 pub type ServeResult = std::result::Result<Response, ServeError>;
 
 /// Outcome of one [`ResilientClient::query_profiled`] call: the answer
@@ -64,49 +87,21 @@ pub struct ProfiledResult {
     pub kept: bool,
 }
 
-/// Retry, hedging, and breaker policy.
+/// Retry and hedging policy. The backoff schedule, the hedge-delay band
+/// and the breaker's threshold and cooldown are fixed in this module.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Attempts per query (1 = no retries).
     pub max_attempts: u32,
-    /// Delay schedule between retries, in seconds.
-    pub backoff: Backoff,
-    /// Seed for deterministic retry jitter.
-    pub retry_seed: u64,
     /// Launch a hedged second attempt for slow requests.
     pub hedge: bool,
-    /// Latency quantile the hedge delay is derived from.
-    pub hedge_quantile: f64,
-    /// Lower clamp on the hedge delay (also the cold-start delay while
-    /// the latency histogram is still empty), microseconds.
-    pub min_hedge_delay_us: u64,
-    /// Upper clamp on the hedge delay, microseconds. The cap is what
-    /// keeps hedging useful under heavy-tailed latency: p99 of a spiky
-    /// distribution converges to the spike itself.
-    pub max_hedge_delay_us: u64,
-    /// Consecutive `Failed` answers for one cuboid that trip its
-    /// breaker; 0 disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before half-opening,
-    /// microseconds on the server's clock.
-    pub breaker_cooldown_us: u64,
 }
 
 impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
             max_attempts: 3,
-            backoff: Backoff::Exponential {
-                base_s: 0.0005,
-                factor: 2.0,
-            },
-            retry_seed: 0,
             hedge: false,
-            hedge_quantile: 0.99,
-            min_hedge_delay_us: 200,
-            max_hedge_delay_us: 10_000,
-            breaker_threshold: 3,
-            breaker_cooldown_us: 50_000,
         }
     }
 }
@@ -117,19 +112,7 @@ impl ClientConfig {
         if self.max_attempts == 0 {
             return Err(Error::Config("client needs at least one attempt".into()));
         }
-        if !(0.0..=1.0).contains(&self.hedge_quantile) {
-            return Err(Error::Config(format!(
-                "hedge quantile must be in [0, 1], got {}",
-                self.hedge_quantile
-            )));
-        }
-        if self.min_hedge_delay_us > self.max_hedge_delay_us {
-            return Err(Error::Config(format!(
-                "hedge delay clamp inverted: min {} > max {}",
-                self.min_hedge_delay_us, self.max_hedge_delay_us
-            )));
-        }
-        self.backoff.validate()
+        Ok(())
     }
 }
 
@@ -146,9 +129,9 @@ pub struct ClientStats {
     pub hedges_won: u64,
     /// Breaker transitions into the open state.
     pub breaker_opens: u64,
-    /// Queries answered from the degraded recompute path (or failed
-    /// typed for lack of a recovery relation) while a breaker was open.
-    pub degraded_serves: u64,
+    /// Queries an open breaker refused with a typed `Failed` without
+    /// reaching the server.
+    pub shed: u64,
 }
 
 impl ClientStats {
@@ -171,27 +154,17 @@ struct Breaker {
     open_until_us: Option<u64>,
 }
 
-enum Gate {
-    /// No breaker, or it is closed: serve normally.
-    Closed,
-    /// Breaker open and cooling down: serve degraded.
-    Open,
-    /// Cooldown over: let one trial through.
-    Trial,
-}
-
 /// A retrying, hedging, breaker-guarded client over one [`CubeServer`].
 pub struct ResilientClient {
     server: Arc<CubeServer>,
     cfg: ClientConfig,
-    recovery: Option<Relation>,
     breakers: Mutex<BTreeMap<Mask, Breaker>>,
     attempts: AtomicU64,
     retries: AtomicU64,
     hedges_fired: AtomicU64,
     hedges_won: AtomicU64,
     breaker_opens: AtomicU64,
-    degraded_serves: AtomicU64,
+    shed: AtomicU64,
     /// Client-observed attempt latencies (includes queue wait); the
     /// hedge delay falls back to this when the server's store has no
     /// observability handle and thus no serve-latency histogram.
@@ -215,29 +188,20 @@ impl ResilientClient {
         Ok(ResilientClient {
             server,
             cfg,
-            recovery: None,
             breakers: Mutex::new(BTreeMap::new()),
             attempts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
             breaker_opens: AtomicU64::new(0),
-            degraded_serves: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
             observed_us: Histogram::new(),
             obs: ObsHandle::default(),
         })
     }
 
-    /// Attach the raw relation the degraded path recomputes from. Without
-    /// it, an open breaker answers `Response::Failed` (typed, available)
-    /// instead of recomputing.
-    pub fn with_recovery(mut self, rel: Relation) -> ResilientClient {
-        self.recovery = Some(rel);
-        self
-    }
-
-    /// Attach an observability handle for hedge/breaker/degrade
-    /// counters and events.
+    /// Attach an observability handle for hedge/breaker/shed counters
+    /// and events.
     pub fn with_obs(mut self, obs: ObsHandle) -> ResilientClient {
         self.obs = obs;
         self
@@ -256,14 +220,14 @@ impl ResilientClient {
             hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
             hedges_won: self.hedges_won.load(Ordering::Relaxed),
             breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            degraded_serves: self.degraded_serves.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
         }
     }
 
     /// Query with the full resilience stack. Returns the server's answer
-    /// (possibly `Response::Failed` after exhausted retries), a degraded
-    /// local answer while the cuboid's breaker is open, or the typed
-    /// [`ServeError`] refusals, which are never retried.
+    /// (possibly `Response::Failed` after exhausted retries or when the
+    /// cuboid's breaker is open), or the typed [`ServeError`] refusals,
+    /// which are never retried.
     pub fn query(&self, req: Request, deadline: Option<Deadline>) -> ServeResult {
         self.query_ctx(req, deadline, None)
     }
@@ -319,17 +283,17 @@ impl ResilientClient {
     ) -> ServeResult {
         let flight = self.server.store().obs();
         let mask = req.cuboid();
-        match self.gate(mask) {
-            Gate::Open => {
-                if let Some(c) = ctx {
-                    flight.flight_emit(
-                        FlightRec::event(c, FlightName::Degraded, flight.flight_now_us())
-                            .with_label(FlightLabel::Cuboid, u64::from(mask.0)),
-                    );
-                }
-                return Ok(self.degraded(mask, &req));
+        let flight_event = |name| {
+            if let Some(c) = ctx {
+                flight.flight_emit(
+                    FlightRec::event(c, name, flight.flight_now_us())
+                        .with_label(FlightLabel::Cuboid, u64::from(mask.0)),
+                );
             }
-            Gate::Closed | Gate::Trial => {}
+        };
+        if self.breaker_open(mask) {
+            flight_event(FlightName::Shed);
+            return Ok(self.shed(mask));
         }
         let mut last = Response::Failed("no attempt made".to_string());
         for attempt in 1..=self.cfg.max_attempts {
@@ -346,25 +310,13 @@ impl ResilientClient {
             self.attempts.fetch_add(1, Ordering::Relaxed);
             match self.attempt_once(&req, deadline, ctx)? {
                 Response::Failed(msg) => {
-                    last = Response::Failed(msg);
                     if self.note_failure(mask) {
-                        // Breaker (re)opened: answer this query degraded.
-                        if let Some(c) = ctx {
-                            flight.flight_emit(
-                                FlightRec::event(
-                                    c,
-                                    FlightName::BreakerOpen,
-                                    flight.flight_now_us(),
-                                )
-                                .with_label(FlightLabel::Cuboid, u64::from(mask.0)),
-                            );
-                            flight.flight_emit(
-                                FlightRec::event(c, FlightName::Degraded, flight.flight_now_us())
-                                    .with_label(FlightLabel::Cuboid, u64::from(mask.0)),
-                            );
-                        }
-                        return Ok(self.degraded(mask, &req));
+                        // Breaker (re)opened: retrying a cuboid just
+                        // declared unservable only adds load.
+                        flight_event(FlightName::BreakerOpen);
+                        return Ok(Response::Failed(msg));
                     }
+                    last = Response::Failed(msg);
                 }
                 resp => {
                     self.note_success(mask);
@@ -464,22 +416,21 @@ impl ResilientClient {
         }
     }
 
-    /// The hedge delay: the configured quantile of the server's live
+    /// The hedge delay: the [`HEDGE_QUANTILE`] of the server's live
     /// latency histogram — or, when the store has no observability
     /// attached, of this client's own observed attempt latencies —
-    /// clamped to the configured band.
+    /// clamped to the fixed band.
     fn hedge_delay_us(&self) -> u64 {
         let p = self
             .server
             .latency_histogram()
             .filter(|h| h.count() > 0)
-            .map(|h| h.quantile(self.cfg.hedge_quantile))
+            .map(|h| h.quantile(HEDGE_QUANTILE))
             .or_else(|| {
-                (self.observed_us.count() > 0)
-                    .then(|| self.observed_us.quantile(self.cfg.hedge_quantile))
+                (self.observed_us.count() > 0).then(|| self.observed_us.quantile(HEDGE_QUANTILE))
             })
             .unwrap_or(0.0);
-        (p as u64).clamp(self.cfg.min_hedge_delay_us, self.cfg.max_hedge_delay_us)
+        (p as u64).clamp(MIN_HEDGE_DELAY_US, MAX_HEDGE_DELAY_US)
     }
 
     /// Sleep out the jittered backoff before retry `attempt + 1`. Skipped
@@ -488,38 +439,25 @@ impl ResilientClient {
         if self.server.clock().is_mock() || self.obs.is_mock() {
             return;
         }
-        let delay_s = self
-            .cfg
-            .backoff
-            .delay_after_jittered(failed_attempt, self.cfg.retry_seed);
+        let delay_s = BACKOFF.delay_after_jittered(failed_attempt, RETRY_SEED);
         if delay_s > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(delay_s));
         }
     }
 
-    /// Where does the breaker currently leave this cuboid?
-    fn gate(&self, mask: Mask) -> Gate {
-        let breakers = lock_or_recover(&self.breakers);
-        let Some(br) = breakers.get(&mask) else {
-            return Gate::Closed;
-        };
-        let Some(until) = br.open_until_us else {
-            return Gate::Closed;
-        };
-        drop(breakers);
-        if self.server.now_us() < until {
-            Gate::Open
-        } else {
-            Gate::Trial
-        }
+    /// Is this cuboid's breaker open and still cooling down? Once the
+    /// cooldown is over the breaker is half-open: queries go through,
+    /// and the next answer closes or re-opens it.
+    fn breaker_open(&self, mask: Mask) -> bool {
+        let until = lock_or_recover(&self.breakers)
+            .get(&mask)
+            .and_then(|br| br.open_until_us);
+        until.is_some_and(|until| self.server.now_us() < until)
     }
 
     /// Record a `Failed` answer against `mask`; returns `true` when the
     /// breaker transitions (back) into the open state.
     fn note_failure(&self, mask: Mask) -> bool {
-        if self.cfg.breaker_threshold == 0 {
-            return false;
-        }
         let opened = {
             let mut breakers = lock_or_recover(&self.breakers);
             let br = breakers.entry(mask).or_default();
@@ -527,14 +465,10 @@ impl ResilientClient {
             // A failure while open_until is set is a failed half-open
             // trial: re-open unconditionally. Otherwise open on the
             // threshold.
-            let open = br.open_until_us.is_some() || br.fails >= self.cfg.breaker_threshold;
+            let open = br.open_until_us.is_some() || br.fails >= BREAKER_THRESHOLD;
             if open {
                 br.fails = 0;
-                br.open_until_us = Some(
-                    self.server
-                        .now_us()
-                        .saturating_add(self.cfg.breaker_cooldown_us),
-                );
+                br.open_until_us = Some(self.server.now_us().saturating_add(BREAKER_COOLDOWN_US));
             }
             open
         };
@@ -555,92 +489,17 @@ impl ResilientClient {
         lock_or_recover(&self.breakers).remove(&mask);
     }
 
-    /// Serve from the degraded path while the breaker is open: recompute
-    /// the cuboid BUC-style from the recovery relation and answer through
-    /// the same [`answer`] dispatch (bit-exact with store answers), or
-    /// fail typed when no recovery relation is attached.
-    fn degraded(&self, mask: Mask, req: &Request) -> Response {
-        self.degraded_serves.fetch_add(1, Ordering::Relaxed);
-        self.obs.inc(names::SERVE_DEGRADED, &[]);
+    /// Refuse a query while its cuboid's breaker is open: a typed
+    /// failure that never reaches the server.
+    fn shed(&self, mask: Mask) -> Response {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.obs.inc(names::SERVE_BREAKER_SHED, &[]);
         self.obs.event(
-            names::SERVE_DEGRADED,
+            names::SERVE_BREAKER_SHED,
             SpanId::ROOT,
             &[("cuboid", mask.0.to_string())],
         );
-        let Some(rel) = &self.recovery else {
-            return Response::Failed(format!(
-                "circuit breaker open for cuboid {mask}; no recovery relation attached"
-            ));
-        };
-        let m = self.server.store().manifest();
-        let rows = recompute_cuboid(rel, mask, m.spec, m.min_support);
-        let local = RecomputedCuboid {
-            seg: Segment::build(m.d, mask, rows),
-            d: m.d,
-        };
-        answer(&local, req)
-    }
-}
-
-/// One recomputed cuboid, answering [`CubeRead`] for exactly its own
-/// mask (other cuboids read empty — the client only routes requests for
-/// the matching cuboid here). Point/slice mirror the store's segment
-/// implementations, and the default `top`/`roll_up` come from the trait,
-/// so answers are bit-exact with a healthy store's.
-struct RecomputedCuboid {
-    seg: Segment,
-    d: usize,
-}
-
-impl CubeRead for RecomputedCuboid {
-    fn dims(&self) -> usize {
-        self.d
-    }
-
-    fn cuboid_rows(
-        &self,
-        mask: Mask,
-    ) -> spcube_common::Result<Vec<(spcube_common::Group, spcube_agg::AggOutput)>> {
-        if mask != self.seg.mask() {
-            return Ok(Vec::new());
-        }
-        Ok(self.seg.iter().map(|(g, v)| (g, v.clone())).collect())
-    }
-
-    fn point(
-        &self,
-        mask: Mask,
-        key: &[spcube_common::Value],
-    ) -> spcube_common::Result<Option<spcube_agg::AggOutput>> {
-        if mask != self.seg.mask() {
-            return Ok(None);
-        }
-        Ok(self.seg.point(key).cloned())
-    }
-
-    fn cuboid_len(&self, mask: Mask) -> spcube_common::Result<usize> {
-        if mask != self.seg.mask() {
-            return Ok(0);
-        }
-        Ok(self.seg.len())
-    }
-
-    fn slice(
-        &self,
-        mask: Mask,
-        dim: usize,
-        value: &spcube_common::Value,
-    ) -> spcube_common::Result<Vec<(spcube_common::Group, spcube_agg::AggOutput)>> {
-        let slot = slice_slot(mask, dim)?;
-        if mask != self.seg.mask() {
-            return Ok(Vec::new());
-        }
-        Ok(self
-            .seg
-            .slice_rows(slot, value)
-            .into_iter()
-            .map(|i| (self.seg.group(i), self.seg.value(i).clone()))
-            .collect())
+        Response::Failed(format!("circuit breaker open for cuboid {mask}"))
     }
 }
 
@@ -651,7 +510,7 @@ mod tests {
     use crate::server::{CubeServer, ServerConfig};
     use crate::store::{write_store, CubeStore};
     use spcube_agg::{AggOutput, AggSpec};
-    use spcube_common::{Schema, Value};
+    use spcube_common::{Relation, Schema, Value};
     use spcube_cubealg::naive_cube;
     use spcube_mapreduce::Dfs;
     use spcube_obs::Clock;
@@ -664,10 +523,9 @@ mod tests {
         rel
     }
 
-    /// Store over a faulty blob layer, plus the raw relation.
-    fn faulty_server(schedule: FaultSchedule, cache: usize) -> (Arc<CubeServer>, Relation) {
-        let rel = sample_rel();
-        let cube = naive_cube(&rel, AggSpec::Sum);
+    /// Server over a store on a faulty blob layer.
+    fn faulty_server(schedule: FaultSchedule, cache: usize) -> Arc<CubeServer> {
+        let cube = naive_cube(&sample_rel(), AggSpec::Sum);
         let dfs = Arc::new(Dfs::new());
         write_store(dfs.as_ref(), "s", &cube, 2, AggSpec::Sum, 1).expect("write");
         let faulty = Arc::new(FaultyBlobs::new(dfs, schedule).with_obs(ObsHandle::mock()));
@@ -676,15 +534,31 @@ mod tests {
                 .expect("open")
                 .with_cache_capacity(cache),
         );
-        let server = Arc::new(CubeServer::start(
+        Arc::new(CubeServer::start(
             store,
             ServerConfig {
                 workers: 2,
                 queue_capacity: 16,
                 clock: Arc::new(Clock::mock()),
             },
-        ));
-        (server, rel)
+        ))
+    }
+
+    /// Every segment read fails until `heals_after` failures (0 = never).
+    fn sticky_outage(heals_after: u32) -> FaultSchedule {
+        FaultSchedule {
+            seed: 2,
+            sticky_outage_prob: 1.0,
+            outage_heals_after: heals_after,
+            only_matching: Some(".cseg".to_string()),
+            ..FaultSchedule::default()
+        }
+    }
+
+    /// Read the mock clock (one tick per reading) past a breaker cooldown.
+    fn cool_down(server: &CubeServer) {
+        let until = server.now_us() + BREAKER_COOLDOWN_US;
+        while server.now_us() < until {}
     }
 
     fn point_req() -> Request {
@@ -696,7 +570,7 @@ mod tests {
 
     #[test]
     fn clean_store_answers_without_retries() {
-        let (server, _rel) = faulty_server(FaultSchedule::default(), 4);
+        let server = faulty_server(FaultSchedule::default(), 4);
         let client = ResilientClient::new(server, ClientConfig::default()).expect("client");
         let resp = client.query(point_req(), None).expect("query");
         assert_eq!(resp, Response::Value(Some(AggOutput::Number(3.0))));
@@ -713,19 +587,19 @@ mod tests {
         // must then come from the client's own observed latencies — on
         // the mock clock every attempt measures at least one tick
         // (1000us), well above the cold-start floor.
-        let (server, _rel) = faulty_server(FaultSchedule::default(), 4);
+        let server = faulty_server(FaultSchedule::default(), 4);
         assert!(server.latency_histogram().is_none());
         let client = ResilientClient::new(server, ClientConfig::default()).expect("client");
         assert_eq!(
             client.hedge_delay_us(),
-            ClientConfig::default().min_hedge_delay_us,
+            MIN_HEDGE_DELAY_US,
             "cold start pins the delay to the floor"
         );
         for _ in 0..8 {
             client.query(point_req(), None).expect("query");
         }
         assert!(
-            client.hedge_delay_us() > ClientConfig::default().min_hedge_delay_us,
+            client.hedge_delay_us() > MIN_HEDGE_DELAY_US,
             "observed latencies should lift the delay off the floor"
         );
     }
@@ -734,7 +608,7 @@ mod tests {
     fn transient_fault_is_retried_away() {
         // Fail roughly every other read; cache capacity 1 forces a fresh
         // fetch per query, and 3 attempts ride out a transient.
-        let (server, _rel) = faulty_server(
+        let server = faulty_server(
             FaultSchedule {
                 seed: 11,
                 transient_fail_prob: 0.5,
@@ -743,14 +617,8 @@ mod tests {
             },
             1,
         );
-        let client = ResilientClient::new(
-            Arc::clone(&server),
-            ClientConfig {
-                breaker_threshold: 0, // isolate retry behavior
-                ..ClientConfig::default()
-            },
-        )
-        .expect("client");
+        let client =
+            ResilientClient::new(Arc::clone(&server), ClientConfig::default()).expect("client");
         let mut clean = 0;
         for _ in 0..12 {
             match client.query(point_req(), None).expect("query") {
@@ -758,7 +626,9 @@ mod tests {
                     assert_eq!(v, Some(AggOutput::Number(3.0)));
                     clean += 1;
                 }
-                Response::Failed(_) => {} // 3 transients in a row
+                // 3 transients in a row trip the breaker: let it
+                // half-open so the next query reaches the server again.
+                Response::Failed(_) => cool_down(&server),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -767,67 +637,38 @@ mod tests {
     }
 
     #[test]
-    fn sticky_outage_trips_breaker_to_bit_exact_degraded_answers() {
-        let (server, rel) = faulty_server(
-            FaultSchedule {
-                seed: 2,
-                sticky_outage_prob: 1.0,
-                only_matching: Some(".cseg".to_string()),
-                ..FaultSchedule::default()
-            },
-            1,
-        );
+    fn sticky_outage_trips_breaker_and_sheds_typed() {
+        let server = faulty_server(sticky_outage(0), 1);
         let obs = ObsHandle::mock();
         let client = ResilientClient::new(Arc::clone(&server), ClientConfig::default())
             .expect("client")
-            .with_recovery(rel)
             .with_obs(obs.clone());
         // Every read of every segment fails: 3 attempts trip the breaker
-        // (threshold 3) and this very query is served degraded.
+        // (threshold 3), and the query returns the server's failure.
         let resp = client.query(point_req(), None).expect("query");
-        assert_eq!(
-            resp,
-            Response::Value(Some(AggOutput::Number(3.0))),
-            "degraded recompute must be bit-exact"
+        assert!(
+            matches!(&resp, Response::Failed(msg) if !msg.contains("circuit breaker")),
+            "server failure, got {resp:?}"
         );
         let stats = client.stats();
-        assert_eq!(stats.breaker_opens, 1);
-        assert_eq!(stats.degraded_serves, 1);
-        // While open, queries skip the server entirely.
+        assert_eq!((stats.attempts, stats.breaker_opens, stats.shed), (3, 1, 0));
+        // While open, queries fail typed without reaching the server.
         let served_before = server.stats().served;
-        let resp2 = client.query(point_req(), None).expect("query");
-        assert_eq!(resp2, Response::Value(Some(AggOutput::Number(3.0))));
+        let resp = client.query(point_req(), None).expect("query");
+        assert!(
+            matches!(&resp, Response::Failed(msg) if msg.contains("circuit breaker open")),
+            "shed failure, got {resp:?}"
+        );
         assert_eq!(server.stats().served, served_before);
-        assert_eq!(client.stats().degraded_serves, 2);
+        assert_eq!(client.stats().shed, 1);
         // Obs counters match client stats exactly.
         assert_eq!(
             obs.counter_value(names::SERVE_BREAKER_OPEN, &[]),
             Some(client.stats().breaker_opens)
         );
         assert_eq!(
-            obs.counter_value(names::SERVE_DEGRADED, &[]),
-            Some(client.stats().degraded_serves)
-        );
-    }
-
-    #[test]
-    fn open_breaker_without_recovery_fails_typed() {
-        let (server, _rel) = faulty_server(
-            FaultSchedule {
-                seed: 2,
-                sticky_outage_prob: 1.0,
-                only_matching: Some(".cseg".to_string()),
-                ..FaultSchedule::default()
-            },
-            1,
-        );
-        let client =
-            ResilientClient::new(Arc::clone(&server), ClientConfig::default()).expect("client");
-        let resp = client.query(point_req(), None).expect("query");
-        assert!(
-            matches!(&resp, Response::Failed(msg) if msg.contains("breaker open")
-                || msg.contains("circuit breaker")),
-            "typed failure, got {resp:?}"
+            obs.counter_value(names::SERVE_BREAKER_SHED, &[]),
+            Some(client.stats().shed)
         );
     }
 
@@ -835,32 +676,13 @@ mod tests {
     fn breaker_half_opens_after_cooldown_and_closes_on_success() {
         // Outage heals after 3 failed reads; breaker trips on those 3,
         // then the half-open trial succeeds and closes the breaker.
-        let (server, rel) = faulty_server(
-            FaultSchedule {
-                seed: 2,
-                sticky_outage_prob: 1.0,
-                outage_heals_after: 3,
-                only_matching: Some(".cseg".to_string()),
-                ..FaultSchedule::default()
-            },
-            1,
-        );
-        let client = ResilientClient::new(
-            Arc::clone(&server),
-            ClientConfig {
-                breaker_cooldown_us: 10_000,
-                ..ClientConfig::default()
-            },
-        )
-        .expect("client")
-        .with_recovery(rel);
+        let server = faulty_server(sticky_outage(3), 1);
+        let client =
+            ResilientClient::new(Arc::clone(&server), ClientConfig::default()).expect("client");
         let first = client.query(point_req(), None).expect("query");
-        assert_eq!(first, Response::Value(Some(AggOutput::Number(3.0))));
+        assert!(matches!(first, Response::Failed(_)), "{first:?}");
         assert_eq!(client.stats().breaker_opens, 1);
-        // Advance the mock clock past the cooldown (each reading +1ms).
-        for _ in 0..12 {
-            server.now_us();
-        }
+        cool_down(&server);
         // Half-open trial goes to the server; the outage healed, so it
         // succeeds and the breaker closes.
         let served_before = server.stats().served;
@@ -870,7 +692,7 @@ mod tests {
             server.stats().served > served_before,
             "trial hit the server"
         );
-        assert_eq!(client.stats().degraded_serves, 1, "no new degraded serves");
+        assert_eq!(client.stats().shed, 0, "nothing was shed");
         // And stays closed.
         let resp = client.query(point_req(), None).expect("closed");
         assert_eq!(resp, Response::Value(Some(AggOutput::Number(3.0))));
@@ -880,40 +702,28 @@ mod tests {
     #[test]
     fn failed_half_open_trial_reopens_the_breaker() {
         // Outage never heals: the trial fails and re-opens the breaker.
-        let (server, rel) = faulty_server(
-            FaultSchedule {
-                seed: 2,
-                sticky_outage_prob: 1.0,
-                only_matching: Some(".cseg".to_string()),
-                ..FaultSchedule::default()
-            },
-            1,
-        );
-        let client = ResilientClient::new(
-            Arc::clone(&server),
-            ClientConfig {
-                breaker_cooldown_us: 10_000,
-                max_attempts: 1,
-                breaker_threshold: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .expect("client")
-        .with_recovery(rel);
+        let server = faulty_server(sticky_outage(0), 1);
+        let client =
+            ResilientClient::new(Arc::clone(&server), ClientConfig::default()).expect("client");
         let first = client.query(point_req(), None).expect("query");
-        assert_eq!(first, Response::Value(Some(AggOutput::Number(3.0))));
+        assert!(matches!(first, Response::Failed(_)), "{first:?}");
         assert_eq!(client.stats().breaker_opens, 1);
-        for _ in 0..12 {
-            server.now_us();
-        }
+        cool_down(&server);
+        let attempts_before = client.stats().attempts;
         let resp = client.query(point_req(), None).expect("failed trial");
-        assert_eq!(resp, Response::Value(Some(AggOutput::Number(3.0))));
-        assert_eq!(client.stats().breaker_opens, 2, "trial failure re-opens");
+        assert!(matches!(resp, Response::Failed(_)), "{resp:?}");
+        let stats = client.stats();
+        assert_eq!(stats.breaker_opens, 2, "trial failure re-opens");
+        assert_eq!(
+            stats.attempts - attempts_before,
+            1,
+            "a re-opened breaker stops the retries"
+        );
     }
 
     #[test]
     fn deadline_refusals_are_not_retried() {
-        let (server, _rel) = faulty_server(FaultSchedule::default(), 4);
+        let server = faulty_server(FaultSchedule::default(), 4);
         let client =
             ResilientClient::new(Arc::clone(&server), ClientConfig::default()).expect("client");
         let dl = server.deadline_in(0); // expired by the admission check
@@ -990,8 +800,6 @@ mod tests {
             Arc::clone(&server),
             ClientConfig {
                 hedge: true,
-                min_hedge_delay_us: 100,
-                max_hedge_delay_us: 100,
                 ..ClientConfig::default()
             },
         )
@@ -1093,9 +901,9 @@ mod tests {
 
     #[test]
     fn errored_profiled_query_is_kept_with_a_complete_trace_and_exemplar() {
-        // Every segment read fails and there is no recovery relation, so
-        // the query surfaces as Response::Failed — an errored outcome the
-        // tail sampler must keep even during warmup.
+        // Every segment read fails, so the query surfaces as
+        // Response::Failed — an errored outcome the tail sampler must
+        // keep even during warmup.
         let (server, obs) = profiled_server(
             FaultSchedule {
                 seed: 2,
@@ -1105,18 +913,11 @@ mod tests {
             },
             1,
         );
-        let client = ResilientClient::new(
-            server,
-            ClientConfig {
-                breaker_threshold: 0,
-                ..ClientConfig::default()
-            },
-        )
-        .expect("client");
+        let client = ResilientClient::new(server, ClientConfig::default()).expect("client");
         let prof = client.query_profiled(point_req(), None);
         assert!(
             matches!(prof.result, Ok(Response::Failed(_))),
-            "outage with no recovery must fail typed: {:?}",
+            "an outage must fail typed: {:?}",
             prof.result
         );
         assert!(prof.kept, "errored queries are always tail-sampled in");
@@ -1165,19 +966,6 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         assert!(ClientConfig {
             max_attempts: 0,
-            ..ClientConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(ClientConfig {
-            hedge_quantile: 1.5,
-            ..ClientConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(ClientConfig {
-            min_hedge_delay_us: 10,
-            max_hedge_delay_us: 5,
             ..ClientConfig::default()
         }
         .validate()

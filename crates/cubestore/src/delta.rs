@@ -473,8 +473,8 @@ pub struct CompactReport {
 /// The background compactor: folds small delta generations together under
 /// a size-tiered policy. Safe to run beside open readers — a compaction
 /// is an ordinary chain commit, so the previous chain's blobs survive it
-/// (see the module-level lifecycle) and the circuit breaker / degraded
-/// read path of [`crate::store::CubeStore`] is untouched.
+/// (see the module-level lifecycle) and the degraded read path of
+/// [`crate::store::CubeStore`] is untouched.
 pub struct Compactor {
     policy: CompactionPolicy,
     obs: ObsHandle,

@@ -26,8 +26,9 @@
 //!   **generation**, sealed by its own manifest and committed by one
 //!   atomic root-manifest write; [`CubeStore`] answers the
 //!   [`CubeRead`](spcube_cubealg::CubeRead) OLAP operations from segments
-//!   through an LRU hot-cuboid cache with hit/miss counters, and a
-//!   per-cuboid circuit breaker rebuilds segments that keep degrading.
+//!   through an LRU hot-cuboid cache with hit/miss counters. A corrupt
+//!   segment degrades to a cached recompute; the store never rewrites
+//!   it — repair belongs to [`scrub`], and load shedding to [`client`].
 //! * **[`recover`]** — crash recovery and the degraded path:
 //!   [`scan_store`] picks the newest fully sealed generation, flags torn
 //!   commits, and finds orphan blobs to quarantine; a segment that fails
@@ -105,7 +106,4 @@ pub use segment::Segment;
 pub use server::{
     answer, CubeServer, Deadline, Request, Response, ServeError, ServerConfig, ServerStats,
 };
-pub use store::{
-    write_store, CubeStore, StoreStats, StoreWriteReport, DEFAULT_CACHE_SEGMENTS,
-    DEFAULT_REBUILD_THRESHOLD,
-};
+pub use store::{write_store, CubeStore, StoreStats, StoreWriteReport, DEFAULT_CACHE_SEGMENTS};

@@ -11,7 +11,8 @@
 //! entry, row counts, byte sizes, sorted keys and zone maps (all enforced
 //! by the decoders).
 //!
-//! For each corrupt blob the scrubber, as configured:
+//! For each corrupt blob a repairing scrubber (the default; a
+//! [`ScrubConfig::read_only`] pass only reports):
 //!
 //! 1. **Quarantines** — copies the corrupt bytes to
 //!    [`quarantine_path`](crate::manifest::quarantine_path) for
@@ -20,9 +21,9 @@
 //! 2. **Repairs in place** — rewrites the blob from redundant
 //!    information, reusing the store's existing degraded-path machinery:
 //!    * *Output* segments are recomputed BUC-style from the recovery
-//!      relation ([`recompute_cuboid`], the same circuit the rebuild
-//!      breaker uses) — available when the caller attached one via
-//!      [`Scrubber::with_recovery`].
+//!      relation ([`recompute_cuboid`], the same recompute the store's
+//!      degraded read path serves from) — available when the caller
+//!      attached one via [`Scrubber::with_recovery`].
 //!    * *State* segments are **rolled up** from the same layer's
 //!      full-mask segment: the groups of cuboid `m` are exactly the
 //!      full-mask groups merged under their projection onto `m`, and the
@@ -34,10 +35,13 @@
 //!    judges completeness by listed sizes — so a rewrite that would
 //!    change the size is refused and counted unrepairable instead.
 //!
-//! The scrubber is read-only apart from quarantine copies and repairs,
-//! both of which are idempotent; it can run beside open readers and the
-//! compactor. Corruption *outside* the live chain (a bit-flipped seal of
-//! an unchosen generation, aborted-commit debris) is the recovery scan's
+//! The scrubber is the only component that rewrites a corrupt segment
+//! in place: a [`crate::store::CubeStore`] degrades around the damage
+//! and the serving client sheds load, but neither writes. It is
+//! read-only apart from quarantine copies and repairs, both of which are
+//! idempotent; it can run beside open readers and the compactor.
+//! Corruption *outside* the live chain (a bit-flipped seal of an
+//! unchosen generation, aborted-commit debris) is the recovery scan's
 //! domain: [`crate::store::CubeStore::open`] quarantines orphans and
 //! repairs torn roots.
 
@@ -56,18 +60,15 @@ use crate::segment::Segment;
 /// What a scrub pass is allowed to do about corruption it finds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubConfig {
-    /// Copy corrupt bytes aside to the quarantine directory.
-    pub quarantine: bool,
-    /// Rewrite corrupt blobs in place from redundant information.
+    /// Copy corrupt bytes aside to the quarantine directory and rewrite
+    /// corrupt blobs in place from redundant information; `false` is a
+    /// detect-only pass.
     pub repair: bool,
 }
 
 impl Default for ScrubConfig {
     fn default() -> ScrubConfig {
-        ScrubConfig {
-            quarantine: true,
-            repair: true,
-        }
+        ScrubConfig { repair: true }
     }
 }
 
@@ -75,10 +76,7 @@ impl ScrubConfig {
     /// A detect-only pass: report findings, touch nothing. What
     /// `inspect -- scrub` runs.
     pub fn read_only() -> ScrubConfig {
-        ScrubConfig {
-            quarantine: false,
-            repair: false,
-        }
+        ScrubConfig { repair: false }
     }
 }
 
@@ -311,7 +309,8 @@ impl Scrubber {
     }
 
     /// Record a corrupt blob: bump counters, emit obs, copy the bytes to
-    /// quarantine when configured (best effort — the bytes may be gone).
+    /// quarantine on a repairing pass (best effort — the bytes may be
+    /// gone).
     #[allow(clippy::too_many_arguments)]
     fn found(
         &self,
@@ -331,7 +330,7 @@ impl Scrubber {
             &[("path", path.to_string()), ("what", error.to_string())],
         );
         let mut quarantined = false;
-        if self.config.quarantine {
+        if self.config.repair {
             if let Ok(bytes) = blobs.get(path) {
                 if blobs.put(&quarantine_path(prefix, path), bytes).is_ok() {
                     quarantined = true;
@@ -625,30 +624,41 @@ mod tests {
     #[test]
     fn output_segments_repair_via_the_recovery_relation() {
         let obs = ObsHandle::mock();
-        let dfs = Dfs::new();
+        let dfs = Arc::new(Dfs::new());
         let rel = sample_rel();
         let cube = naive_cube(&rel, AggSpec::Sum);
-        write_store(&dfs, "out", &cube, 3, AggSpec::Sum, 1).expect("write");
+        write_store(dfs.as_ref(), "out", &cube, 3, AggSpec::Sum, 1).expect("write");
         let victim = segment_named(&dfs, "out", "cuboid-101.cseg");
         let before = dfs.get(&victim).expect("victim bytes");
         flip(&dfs, &victim, 17);
         // Without a recovery relation the rot is quarantined but stays.
         let stuck = Scrubber::new(ScrubConfig::default())
-            .run(&dfs, "out")
+            .run(dfs.as_ref(), "out")
             .expect("scrub");
         assert_eq!(stuck.corrupt, 1);
         assert_eq!(stuck.repaired, 0);
         assert_eq!(stuck.unrepairable, 1);
         // With it, the BUC recompute rewrites the exact bytes.
         let report = Scrubber::new(ScrubConfig::default())
-            .with_recovery(rel)
+            .with_recovery(rel.clone())
             .with_obs(obs.clone())
-            .run(&dfs, "out")
+            .run(dfs.as_ref(), "out")
             .expect("scrub with recovery");
         assert_eq!(report.repaired, 1);
         assert_eq!(report.unrepairable, 0);
         assert_counters_match(&obs, &report);
         assert_eq!(dfs.get(&victim).expect("repaired"), before);
+        // A fresh store reads the repaired cuboid cleanly: with recovery
+        // armed, a still-corrupt blob would show as a degraded recompute.
+        let mask = Mask(0b101);
+        let fresh = CubeStore::open(dfs, "out")
+            .expect("reopen")
+            .with_recovery(rel);
+        assert_eq!(
+            fresh.cuboid_len(mask).expect("clean read"),
+            cube.iter().filter(|(g, _)| g.mask == mask).count()
+        );
+        assert_eq!(fresh.stats().degraded_recomputes, 0);
     }
 
     #[test]

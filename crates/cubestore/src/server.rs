@@ -518,9 +518,9 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
     }
 }
 
-/// Answer one request through the [`CubeRead`] interface. Generic so the
-/// degraded client path can answer from a recomputed cuboid with the
-/// exact same dispatch (bit-exact with store-served answers).
+/// Answer one request through the [`CubeRead`] interface. Generic so an
+/// in-memory reference cube answers with the exact same dispatch
+/// (bit-exact with store-served answers).
 pub fn answer<R: CubeRead + ?Sized>(read: &R, req: &Request) -> Response {
     let result = match req {
         Request::Point { mask, key } => read.point(*mask, key).map(Response::Value),

@@ -29,12 +29,11 @@
 //! **Corruption** — every blob is checksummed. If a segment fails its
 //! checksum (or has gone missing), the store does not fail the query:
 //! when a recovery relation is attached it recomputes just that cuboid
-//! BUC-style ([`crate::recover`]) and serves the recomputed rows,
-//! counting a degraded recompute in [`StoreStats`]. Repeated degrades on
-//! the same cuboid trip a per-cuboid circuit breaker that rebuilds the
-//! segment blob in place from the recomputed rows
-//! ([`StoreStats::segment_rebuilds`]) — recompute-per-query is a stopgap,
-//! not a steady state. Without a recovery relation the error propagates.
+//! BUC-style ([`crate::recover`]), caches the recomputed segment like any
+//! other, and counts a degraded recompute in [`StoreStats`]. Without a
+//! recovery relation the error propagates. The store never rewrites a
+//! blob on the read path: repairing the damage is the
+//! [`crate::scrub::Scrubber`]'s job.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,10 +57,6 @@ use crate::segment::Segment;
 
 /// Default capacity (in decoded segments) of the hot-cuboid cache.
 pub const DEFAULT_CACHE_SEGMENTS: usize = 8;
-
-/// Default number of degraded recomputes of one cuboid before the
-/// circuit breaker rebuilds its segment blob in place.
-pub const DEFAULT_REBUILD_THRESHOLD: u32 = 3;
 
 /// What [`write_store`] wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,8 +191,6 @@ pub struct StoreStats {
     /// Torn commits repaired at open (root pointer rewritten to the
     /// newest fully sealed generation).
     pub torn_commits: u64,
-    /// Segment blobs rebuilt in place by the per-cuboid circuit breaker.
-    pub segment_rebuilds: u64,
 }
 
 impl StoreStats {
@@ -236,11 +229,6 @@ pub struct CubeStore {
     degraded_recomputes: AtomicU64,
     quarantined_blobs: AtomicU64,
     torn_commits: AtomicU64,
-    segment_rebuilds: AtomicU64,
-    /// Degraded recomputes per cuboid since its last successful rebuild;
-    /// the circuit breaker trips at `rebuild_threshold`.
-    degrade_strikes: Mutex<BTreeMap<Mask, u32>>,
-    rebuild_threshold: u32,
     /// Raw relation for degraded recompute of corrupt segments.
     recovery: Option<Relation>,
     /// Observability session (attach via [`CubeStore::with_obs`]).
@@ -328,9 +316,6 @@ impl CubeStore {
             degraded_recomputes: AtomicU64::new(0),
             quarantined_blobs: AtomicU64::new(quarantined),
             torn_commits: AtomicU64::new(torn_commits),
-            segment_rebuilds: AtomicU64::new(0),
-            degrade_strikes: Mutex::new(BTreeMap::new()),
-            rebuild_threshold: DEFAULT_REBUILD_THRESHOLD,
             recovery: None,
             obs: ObsHandle::default(),
             obs_cache_hit: None,
@@ -393,13 +378,6 @@ impl CubeStore {
         self
     }
 
-    /// Degraded recomputes of one cuboid before its segment blob is
-    /// rebuilt in place (`0` disables the breaker entirely).
-    pub fn with_rebuild_threshold(mut self, strikes: u32) -> CubeStore {
-        self.rebuild_threshold = strikes;
-        self
-    }
-
     /// The store's manifest.
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
@@ -430,7 +408,6 @@ impl CubeStore {
             degraded_recomputes: self.degraded_recomputes.load(Ordering::Relaxed),
             quarantined_blobs: self.quarantined_blobs.load(Ordering::Relaxed),
             torn_commits: self.torn_commits.load(Ordering::Relaxed),
-            segment_rebuilds: self.segment_rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -481,12 +458,11 @@ impl CubeStore {
             })
         });
         match fetched {
-            Ok(seg) if seg.mask() == mask && seg.dims() == self.manifest.d => {
-                // A clean read resets the cuboid's strike count.
-                lock_or_recover(&self.degrade_strikes).remove(&mask);
-                Ok(seg)
-            }
-            Ok(_) => self.degrade(mask, "segment/manifest cuboid mismatch".to_string()),
+            Ok(seg) if seg.mask() == mask && seg.dims() == self.manifest.d => Ok(seg),
+            Ok(_) => self.degrade(
+                mask,
+                Error::corrupt("segment", "segment/manifest cuboid mismatch"),
+            ),
             // Only data loss (corruption, bad parse, missing blob) is
             // recoverable by recompute; I/O or config errors propagate.
             Err(e) if e.is_data_loss() => self.degrade(mask, e),
@@ -496,9 +472,9 @@ impl CubeStore {
 
     /// The layered read: merge the cuboid's `AggState`s across every live
     /// layer, finalize once, and serve the result as an ordinary segment
-    /// (so the cache, server, client, and breaker counters all work
-    /// unchanged). Data loss in any layer degrades to the BUC recompute,
-    /// which is bit-exact over the full recovery relation.
+    /// (so the cache, server, and client all work unchanged). Data loss in
+    /// any layer degrades to the BUC recompute, which is bit-exact over
+    /// the full recovery relation.
     fn load_layered(&self, mask: Mask) -> Result<Segment> {
         match merged_cuboid_obs(
             self.blobs.as_ref(),
@@ -508,21 +484,19 @@ impl CubeStore {
             self.manifest.spec,
             &self.obs,
         ) {
-            Ok(rows) => {
-                lock_or_recover(&self.degrade_strikes).remove(&mask);
-                Ok(Segment::build(self.manifest.d, mask, rows))
-            }
+            Ok(rows) => Ok(Segment::build(self.manifest.d, mask, rows)),
             Err(e) if e.is_data_loss() => self.degrade(mask, e),
             Err(e) => Err(e),
         }
     }
 
-    /// The degraded path: recompute the cuboid from the raw relation, and
-    /// let the circuit breaker schedule a rebuild when one cuboid keeps
-    /// degrading.
-    fn degrade(&self, mask: Mask, cause: impl Into<DegradeCause>) -> Result<Segment> {
+    /// The degraded path: recompute the cuboid from the raw relation.
+    /// [`CubeStore::segment`] caches the result, so a damaged cuboid costs
+    /// one recompute per cache residency; the blob itself stays as it is
+    /// until a [`crate::scrub::Scrubber`] pass repairs it.
+    fn degrade(&self, mask: Mask, cause: Error) -> Result<Segment> {
         let Some(rel) = &self.recovery else {
-            return Err(cause.into().0);
+            return Err(cause);
         };
         self.degraded_recomputes.fetch_add(1, Ordering::Relaxed);
         self.obs.inc(names::STORE_DEGRADE_RECOMPUTE, &[]);
@@ -532,73 +506,7 @@ impl CubeStore {
             &[("cuboid", mask.0.to_string())],
         );
         let rows = recompute_cuboid(rel, mask, self.manifest.spec, self.manifest.min_support);
-        let seg = Segment::build(self.manifest.d, mask, rows);
-        self.maybe_rebuild(mask, &seg);
-        Ok(seg)
-    }
-
-    /// Per-cuboid circuit breaker: after `rebuild_threshold` degraded
-    /// recomputes of `mask`, write the recomputed segment back over the
-    /// damaged blob so later reads stop paying for recompute.
-    fn maybe_rebuild(&self, mask: Mask, seg: &Segment) {
-        if self.rebuild_threshold == 0 {
-            return;
-        }
-        // No in-place rebuild for layered stores: a finalized segment
-        // can't replace any single layer's state blob (sizes and contents
-        // both differ), and the size-exact seal check would unseal the
-        // layer. Compaction is the repair path that rewrites layers.
-        if self.manifest.kind == StoreKind::State {
-            return;
-        }
-        let strikes = {
-            let mut strikes = lock_or_recover(&self.degrade_strikes);
-            let n = strikes.entry(mask).or_insert(0);
-            *n += 1;
-            *n
-        };
-        if strikes < self.rebuild_threshold {
-            return;
-        }
-        let Some(entry) = self.manifest.entry(mask) else {
-            return;
-        };
-        let Ok(encoded) = seg.encode() else {
-            return;
-        };
-        // Publish only a byte-count-exact replacement: the generation's
-        // sealed check is size-based, so a different size would unseal it
-        // for every future open. The encoding is deterministic over the
-        // (sorted) recomputed rows, so a faithful recompute always fits.
-        if encoded.len() as u64 != entry.bytes {
-            return;
-        }
-        if self.blobs.put(&entry.path, encoded).is_ok() {
-            self.segment_rebuilds.fetch_add(1, Ordering::Relaxed);
-            self.obs.inc(names::STORE_SEGMENT_REBUILD, &[]);
-            self.obs.event(
-                names::STORE_SEGMENT_REBUILD,
-                SpanId::ROOT,
-                &[("cuboid", mask.0.to_string())],
-            );
-            lock_or_recover(&self.degrade_strikes).remove(&mask);
-        }
-    }
-}
-
-/// Internal: normalizes "what went wrong" into an error for the
-/// no-recovery case.
-struct DegradeCause(spcube_common::Error);
-
-impl From<spcube_common::Error> for DegradeCause {
-    fn from(e: spcube_common::Error) -> Self {
-        DegradeCause(e)
-    }
-}
-
-impl From<String> for DegradeCause {
-    fn from(msg: String) -> Self {
-        DegradeCause(spcube_common::Error::corrupt("segment", msg))
+        Ok(Segment::build(self.manifest.d, mask, rows))
     }
 }
 
@@ -748,12 +656,12 @@ mod tests {
         let dfs = Arc::new(Dfs::new());
         let (rel, cube, _) = built(&dfs);
         let victim = Mask(0b101);
-        dfs.corrupt_byte(&segment_path("store", 1, 3, victim), 20)
-            .expect("corrupt");
+        let victim_path = segment_path("store", 1, 3, victim);
+        dfs.corrupt_byte(&victim_path, 20).expect("corrupt");
+        let corrupt = dfs.get(&victim_path).expect("corrupt blob");
         let store = CubeStore::open(Arc::clone(&dfs) as Arc<dyn crate::BlobStore>, "store")
             .expect("open")
-            .with_recovery(rel.clone())
-            .with_rebuild_threshold(0); // isolate the recompute path
+            .with_recovery(rel.clone());
         let q = spcube_cubealg::CubeQuery::new(&cube, rel.arity());
         let rows = store.cuboid_rows(victim).expect("degraded rows");
         assert_eq!(rows.len(), q.cuboid_len(victim));
@@ -764,48 +672,8 @@ mod tests {
         // Recomputed segment is cached: next access is a hit, no new recompute.
         store.cuboid_len(victim).expect("cached len");
         assert_eq!(store.stats().degraded_recomputes, 1);
-    }
-
-    #[test]
-    fn circuit_breaker_rebuilds_after_repeated_degrades() {
-        let dfs = Arc::new(Dfs::new());
-        let rel = sample_rel();
-        // Count: the recompute aggregates to bit-identical values, so the
-        // rebuilt blob is byte-identical to the original.
-        let cube = naive_cube(&rel, AggSpec::Count);
-        write_store(dfs.as_ref(), "store", &cube, 3, AggSpec::Count, 1).expect("write");
-        let victim = Mask(0b011);
-        let victim_path = segment_path("store", 1, 3, victim);
-        let pristine = dfs.get(&victim_path).expect("pristine blob");
-        dfs.corrupt_byte(&victim_path, 20).expect("corrupt");
-        let store = CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "store")
-            .expect("open")
-            .with_recovery(rel.clone())
-            .with_cache_capacity(1)
-            .with_rebuild_threshold(2);
-        // Strike 1: recompute, breaker stays closed, blob still corrupt.
-        store.cuboid_len(victim).expect("degraded");
-        store
-            .cuboid_len(Mask(0b100))
-            .expect("evict victim from cache");
-        assert_eq!(store.stats().segment_rebuilds, 0);
-        // Strike 2: breaker trips, blob rebuilt in place.
-        store.cuboid_len(victim).expect("degraded again");
-        let stats = store.stats();
-        assert_eq!(stats.degraded_recomputes, 2);
-        assert_eq!(stats.segment_rebuilds, 1);
-        assert_eq!(
-            dfs.get(&victim_path).expect("rebuilt blob"),
-            pristine,
-            "rebuild must restore the exact sealed bytes"
-        );
-        // A fresh store (no recovery attached) reads the repaired blob.
-        let fresh = CubeStore::open(dfs, "store").expect("reopen");
-        assert_eq!(
-            fresh.cuboid_len(victim).expect("clean read"),
-            cube.iter().filter(|(g, _)| g.mask == victim).count()
-        );
-        assert_eq!(fresh.stats().degraded_recomputes, 0);
+        // Degrading never writes: the blob stays for the scrubber to repair.
+        assert_eq!(dfs.get(&victim_path).expect("victim blob"), corrupt);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub const STORE_CACHE_HIT: &str = "store.cache.hit";
 pub const STORE_CACHE_MISS: &str = "store.cache.miss";
 /// A segment was served via BUC recompute (event; labels: `cuboid`).
 pub const STORE_DEGRADE_RECOMPUTE: &str = "store.degrade.recompute";
-/// The circuit breaker rebuilt a segment blob (event; labels: `cuboid`).
-pub const STORE_SEGMENT_REBUILD: &str = "store.segment.rebuild";
 /// A torn root pointer was repaired at open (event).
 pub const STORE_COMMIT_TORN: &str = "store.commit.torn";
 /// An orphan blob was quarantined at open (event; labels: `path`).
@@ -60,9 +58,9 @@ pub const SERVE_HEDGE_WON: &str = "serve.hedge.won";
 /// A per-cuboid serve circuit breaker opened (counter + event; labels:
 /// `cuboid`).
 pub const SERVE_BREAKER_OPEN: &str = "serve.breaker.open";
-/// The client answered from the degraded recompute path (counter +
-/// event; labels: `cuboid`).
-pub const SERVE_DEGRADED: &str = "serve.degraded";
+/// An open serve circuit breaker refused a query without reaching the
+/// server (counter + event; labels: `cuboid`).
+pub const SERVE_BREAKER_SHED: &str = "serve.breaker.shed";
 /// FaultyBlobs injected a read fault (counter + event; labels: `kind`,
 /// `path`).
 pub const STORE_FAULT_INJECTED: &str = "store.fault.injected";
@@ -144,7 +142,6 @@ pub const ALL: &[&str] = &[
     STORE_CACHE_HIT,
     STORE_CACHE_MISS,
     STORE_DEGRADE_RECOMPUTE,
-    STORE_SEGMENT_REBUILD,
     STORE_COMMIT_TORN,
     STORE_BLOB_QUARANTINED,
     STORE_CRASH_INJECT,
@@ -153,7 +150,7 @@ pub const ALL: &[&str] = &[
     SERVE_HEDGE_FIRED,
     SERVE_HEDGE_WON,
     SERVE_BREAKER_OPEN,
-    SERVE_DEGRADED,
+    SERVE_BREAKER_SHED,
     STORE_FAULT_INJECTED,
     STORE_LAYER_COUNT,
     STORE_DELTA_INGEST,

@@ -76,8 +76,8 @@ pub enum FlightName {
     HedgeWon,
     /// A per-cuboid breaker opened.
     BreakerOpen,
-    /// The query was served from the degraded recompute path.
-    Degraded,
+    /// An open breaker refused the query.
+    Shed,
     /// The query missed its deadline.
     DeadlineMiss,
     /// An injected read fault fired under this query.
@@ -100,7 +100,7 @@ impl FlightName {
             FlightName::HedgeFired => names::SERVE_HEDGE_FIRED,
             FlightName::HedgeWon => names::SERVE_HEDGE_WON,
             FlightName::BreakerOpen => names::SERVE_BREAKER_OPEN,
-            FlightName::Degraded => names::SERVE_DEGRADED,
+            FlightName::Shed => names::SERVE_BREAKER_SHED,
             FlightName::DeadlineMiss => names::SERVE_DEADLINE_EXCEEDED,
             FlightName::FaultInjected => names::STORE_FAULT_INJECTED,
             FlightName::Error => names::SERVE_PHASE_ERROR,
@@ -119,7 +119,7 @@ impl FlightName {
             FlightName::HedgeFired => 7,
             FlightName::HedgeWon => 8,
             FlightName::BreakerOpen => 9,
-            FlightName::Degraded => 10,
+            FlightName::Shed => 10,
             FlightName::DeadlineMiss => 11,
             FlightName::FaultInjected => 12,
             FlightName::Error => 13,
@@ -138,7 +138,7 @@ impl FlightName {
             7 => FlightName::HedgeFired,
             8 => FlightName::HedgeWon,
             9 => FlightName::BreakerOpen,
-            10 => FlightName::Degraded,
+            10 => FlightName::Shed,
             11 => FlightName::DeadlineMiss,
             12 => FlightName::FaultInjected,
             13 => FlightName::Error,

@@ -30,8 +30,18 @@ use std::path::{Path, PathBuf};
 
 /// Directory components never audited: build output, VCS, vendored
 /// shims, spcheck itself (its fixtures contain violations on purpose),
-/// and integration tests/benches (test code may panic).
-const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "spcheck", "tests", "benches"];
+/// integration tests/benches (test code may panic), and the `cubebench`
+/// workspace (a wall-clock benchmark that reads `Instant::now` on
+/// purpose).
+const SKIP_DIRS: &[&str] = &[
+    "target",
+    ".git",
+    "shims",
+    "spcheck",
+    "tests",
+    "benches",
+    "cubebench",
+];
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
@@ -307,6 +317,17 @@ mod tests {
             ["determinism", "determinism", "determinism"],
             "{findings:?}"
         );
+    }
+
+    #[test]
+    fn wall_clock_benchmark_workspace_is_not_audited() {
+        let fx = Fixture::new("cubebench").with_format_consts();
+        fx.write(
+            "cubebench/src/x.rs",
+            "pub fn time() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+        );
+        let findings = run_check(&fx.root).expect("run");
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

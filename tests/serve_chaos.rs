@@ -2,8 +2,13 @@
 //! query either returns the bit-exact answer a healthy store would give
 //! or a typed error — never a panic, never a wrong answer — and every
 //! resilience decision the stack takes (deadline misses, hedges,
-//! breaker trips, injected faults) is visible in the observability layer
-//! with counts that match the in-process statistics exactly.
+//! breaker trips and sheds, injected faults) is visible in the
+//! observability layer with counts that match the in-process statistics
+//! exactly.
+//!
+//! Each recovery job has one owner: the store recomputes a corrupt
+//! cuboid from its recovery relation, and the client only retries,
+//! hedges, and sheds load behind its breaker.
 //!
 //! The matrix sweeps fault schedules (transient-heavy, sticky outages,
 //! mixed with latency spikes) × seeds × deadlines (none, generous,
@@ -11,13 +16,14 @@
 //! clock and mock observability handle, so injected latency spikes cost
 //! nothing real and deadline arithmetic is deterministic.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sp_cube_repro::agg::AggSpec;
 use sp_cube_repro::cubealg::naive_cube;
 use sp_cube_repro::cubestore::{
-    answer, write_store, BlobStore, ClientConfig, CubeServer, CubeStore, FaultSchedule,
-    FaultyBlobs, Request, ResilientClient, Response, ServeError, ServerConfig,
+    answer, segment_path, write_store, BlobStore, ClientConfig, CubeServer, CubeStore,
+    FaultSchedule, FaultyBlobs, Request, ResilientClient, Response, ServeError, ServerConfig,
 };
 use sp_cube_repro::datagen::{gen_query_workload, gen_zipf, QuerySpec};
 use sp_cube_repro::mapreduce::Dfs;
@@ -60,6 +66,18 @@ fn seeded_dfs() -> (sp_cube_repro::common::Relation, Arc<Dfs>) {
 fn reference_answers(dfs: &Arc<Dfs>, reqs: &[Request]) -> Vec<Response> {
     let clean = CubeStore::open(Arc::clone(dfs) as Arc<dyn BlobStore>, "chaos").expect("open");
     reqs.iter().map(|r| answer(&clean, r)).collect()
+}
+
+/// A two-worker server over `store` on the mock clock.
+fn mock_server(store: &Arc<CubeStore>) -> Arc<CubeServer> {
+    Arc::new(CubeServer::start(
+        Arc::clone(store),
+        ServerConfig {
+            workers: 2,
+            queue_capacity: 16,
+            clock: Arc::new(Clock::mock()),
+        },
+    ))
 }
 
 struct Combo {
@@ -131,14 +149,7 @@ fn run_combo(combo: &Combo, seed: u64) {
             .with_obs(obs.clone())
             .with_cache_capacity(1),
     );
-    let server = Arc::new(CubeServer::start(
-        Arc::clone(&store),
-        ServerConfig {
-            workers: 2,
-            queue_capacity: 16,
-            clock: Arc::new(Clock::mock()),
-        },
-    ));
+    let server = mock_server(&store);
     let client = ResilientClient::new(
         Arc::clone(&server),
         ClientConfig {
@@ -147,7 +158,6 @@ fn run_combo(combo: &Combo, seed: u64) {
         },
     )
     .expect("client config")
-    .with_recovery(rel.clone())
     .with_obs(obs.clone());
 
     let mut clean = 0usize;
@@ -160,7 +170,7 @@ fn run_combo(combo: &Combo, seed: u64) {
             Ok(resp) => {
                 // The core invariant: any non-error answer is bit-exact
                 // with the healthy store's, whether it came from a clean
-                // read, a retry, a hedge, or the degraded recompute.
+                // read, a retry, or a hedge.
                 assert_eq!(&resp, expect, "[{}] wrong answer for {req:?}", combo.label);
                 clean += 1;
             }
@@ -213,8 +223,8 @@ fn run_combo(combo: &Combo, seed: u64) {
         combo.label
     );
     assert_eq!(
-        counter(names::SERVE_DEGRADED, &[]).unwrap_or(0),
-        client_stats.degraded_serves,
+        counter(names::SERVE_BREAKER_SHED, &[]).unwrap_or(0),
+        client_stats.shed,
         "[{}]",
         combo.label
     );
@@ -265,16 +275,15 @@ fn chaos_matrix_answers_bit_exact_or_typed() {
 }
 
 #[test]
-fn sticky_outage_with_recovery_stays_bit_exact_via_breaker() {
-    // Every segment read fails forever: after the breaker trips, all
-    // answers come from the degraded BUC recompute — and they must still
-    // be bit-exact against the healthy store.
+fn sticky_outage_is_shed_typed_by_the_breaker() {
+    // Every segment read fails forever and the client owns no recovery:
+    // every answer is a typed failure, the breaker opens, and while it
+    // is open queries are shed without reaching the server.
     let (rel, dfs) = seeded_dfs();
     let workload: Vec<Request> = gen_query_workload(&rel, 30, 1.5, 9)
         .iter()
         .map(to_request)
         .collect();
-    let expected = reference_answers(&dfs, &workload);
 
     let obs = ObsHandle::mock();
     let faulty = Arc::new(
@@ -295,17 +304,74 @@ fn sticky_outage_with_recovery_stays_bit_exact_via_breaker() {
             .with_obs(obs.clone())
             .with_cache_capacity(1),
     );
-    let server = Arc::new(CubeServer::start(
-        Arc::clone(&store),
-        ServerConfig {
-            workers: 2,
-            queue_capacity: 16,
-            clock: Arc::new(Clock::mock()),
-        },
-    ));
+    let server = mock_server(&store);
     let client = ResilientClient::new(Arc::clone(&server), ClientConfig::default())
         .expect("client")
-        .with_recovery(rel.clone())
+        .with_obs(obs.clone());
+
+    for req in &workload {
+        let (served, shed) = (server.stats().served, client.stats().shed);
+        let resp = client.query(req.clone(), None).expect("no refusals");
+        assert!(
+            matches!(resp, Response::Failed(_)),
+            "outage answered {resp:?} for {req:?}"
+        );
+        if client.stats().shed > shed {
+            assert_eq!(
+                server.stats().served,
+                served,
+                "a shed query reached the server: {req:?}"
+            );
+        }
+    }
+    let stats = client.stats();
+    assert!(stats.breaker_opens >= 1, "breaker never tripped");
+    assert!(stats.shed >= 1, "open breaker never shed a query");
+    assert_eq!(
+        obs.counter_value(names::SERVE_BREAKER_OPEN, &[])
+            .unwrap_or(0),
+        stats.breaker_opens
+    );
+    assert_eq!(
+        obs.counter_value(names::SERVE_BREAKER_SHED, &[])
+            .unwrap_or(0),
+        stats.shed
+    );
+}
+
+#[test]
+fn corrupt_hot_segment_is_recomputed_by_the_store_alone() {
+    // Bit-rot in the most-queried cuboid, recovery attached to the store
+    // only: the store degrades to a recompute, so the client sees clean
+    // answers and never retries or trips a breaker.
+    let (rel, dfs) = seeded_dfs();
+    let workload: Vec<Request> = gen_query_workload(&rel, QUERIES, 1.5, 11)
+        .iter()
+        .map(to_request)
+        .collect();
+    let expected = reference_answers(&dfs, &workload);
+    let mut hits = BTreeMap::new();
+    for req in &workload {
+        *hits.entry(req.cuboid()).or_insert(0) += 1;
+    }
+    let (&hot, _) = hits
+        .iter()
+        .max_by_key(|&(_, n)| *n)
+        .expect("non-empty workload");
+    dfs.corrupt_byte(&segment_path("chaos", 1, DIMS, hot), 24)
+        .expect("corrupt the hot segment");
+
+    let obs = ObsHandle::mock();
+    let store = Arc::new(
+        CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "chaos")
+            .expect("open")
+            .with_recovery(rel.clone())
+            .with_obs(obs.clone())
+            .with_cache_capacity(1),
+    );
+    let server = mock_server(&store);
+    let client = ResilientClient::new(Arc::clone(&server), ClientConfig::default())
+        .expect("client")
         .with_obs(obs.clone());
 
     for (req, expect) in workload.iter().zip(&expected) {
@@ -313,11 +379,16 @@ fn sticky_outage_with_recovery_stays_bit_exact_via_breaker() {
         assert_eq!(&resp, expect, "degraded answer diverged for {req:?}");
     }
     let stats = client.stats();
-    assert!(stats.breaker_opens >= 1, "breaker never tripped");
-    assert!(stats.degraded_serves >= 1, "degraded path never served");
     assert_eq!(
-        obs.counter_value(names::SERVE_DEGRADED, &[]).unwrap_or(0),
-        stats.degraded_serves
+        stats.retries, 0,
+        "the client retried a store-recovered read"
+    );
+    assert_eq!(stats.breaker_opens, 0);
+    let degraded = store.stats().degraded_recomputes;
+    assert!(degraded >= 1, "the corrupt segment was never recomputed");
+    assert_eq!(
+        obs.counter_value(names::STORE_DEGRADE_RECOMPUTE, &[]),
+        Some(degraded)
     );
 }
 
@@ -348,14 +419,7 @@ fn expired_deadlines_never_reach_the_blob_layer() {
             .expect("open")
             .with_cache_capacity(1),
     );
-    let server = Arc::new(CubeServer::start(
-        Arc::clone(&store),
-        ServerConfig {
-            workers: 2,
-            queue_capacity: 16,
-            clock: Arc::new(Clock::mock()),
-        },
-    ));
+    let server = mock_server(&store);
     let client =
         ResilientClient::new(Arc::clone(&server), ClientConfig::default()).expect("client");
     for req in &workload {
