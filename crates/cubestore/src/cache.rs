@@ -1,11 +1,14 @@
 //! LRU cache of decoded hot-cuboid segments.
 //!
-//! Decoding a segment is the expensive part of answering from the store
-//! (checksum over the whole blob, dictionary + code validation), so the
-//! store keeps the most recently used decoded segments pinned. Capacity is
-//! counted in segments: skewed workloads hit a few hot cuboids over and
-//! over (exactly the access pattern the Zipf workload generator produces),
-//! so a small cache captures most traffic.
+//! Fetching and decoding a segment is the expensive part of answering
+//! from the store: a decoded segment answers a query from its columns
+//! (top-k is one pass over the values column), while a miss pays the
+//! checksum over the whole blob plus the dictionary, code and row-order
+//! validation — on a served workload, that decode is the latency tail. So
+//! the store keeps the most recently used decoded segments pinned.
+//! Capacity is counted in segments: skewed workloads hit a few hot
+//! cuboids over and over (exactly the access pattern the Zipf workload
+//! generator produces), so a small cache captures most traffic.
 //!
 //! Eviction scans for the stale entry on insert — O(capacity), fine for
 //! the tens-of-segments capacities used here and free of any external

@@ -18,6 +18,12 @@
 //!   on `dim = value` skips every block whose code range excludes the
 //!   value.
 //!
+//! Since dictionaries are sorted, code order is key order, and so row
+//! order is key order. The store's query kernels (`CubeRead` for
+//! `Segment`, in the store module) answer from these columns and
+//! materialize only the rows they return: top-k is one pass over
+//! [`Segment::values`].
+//!
 //! # Wire format (`CSEG1`)
 //!
 //! ```text
@@ -47,6 +53,9 @@ pub const SEGMENT_MAGIC: &[u8; 5] = b"CSEG1";
 
 /// Default rows per block for the sparse index / zone maps.
 pub const DEFAULT_BLOCK_SIZE: usize = 64;
+
+/// Most columns a segment can have: one per bit of a [`Mask`].
+const MAX_ARITY: usize = 32;
 
 /// One dictionary-encoded dimension column.
 #[derive(Debug, Clone)]
@@ -178,6 +187,11 @@ impl Segment {
         &self.values[i]
     }
 
+    /// The values column: every row's aggregate, in key order.
+    pub fn values(&self) -> &[AggOutput] {
+        &self.values
+    }
+
     /// Iterate over all rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = (Group, &AggOutput)> + '_ {
         (0..self.len()).map(|i| (self.group(i), &self.values[i]))
@@ -194,39 +208,45 @@ impl Segment {
         Ordering::Equal
     }
 
-    /// Translate a key into per-column codes; `None` when any value is
-    /// absent from its dictionary (the key cannot be in the segment).
-    fn codes_of(&self, key: &[Value]) -> Option<Vec<u32>> {
-        if key.len() != self.columns.len() {
-            return None;
+    /// Compare rows `a` and `b` by key, column by column, in place.
+    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        for col in &self.columns {
+            match col.codes[a].cmp(&col.codes[b]) {
+                Ordering::Equal => continue,
+                other => return other,
+            }
         }
-        self.columns
-            .iter()
-            .zip(key)
-            .map(|(c, v)| c.code_of(v))
-            .collect()
+        Ordering::Equal
     }
 
     /// Point lookup via the sparse first-key index: binary-search the block
     /// firsts for the last block whose first key is `<=` the needle, then
-    /// scan only that block.
+    /// scan only that block. Allocation-free: the needle's codes live on
+    /// the stack and the search runs over block numbers directly.
     pub fn point(&self, key: &[Value]) -> Option<&AggOutput> {
-        let needle = self.codes_of(key)?;
-        if self.is_empty() {
+        if key.len() != self.columns.len() {
             return None;
         }
-        // partition_point over blocks: first keys <= needle.
-        let candidates = (0..self.blocks.len())
-            .collect::<Vec<_>>()
-            .partition_point(|&b| self.cmp_row(b * self.block_size, &needle) != Ordering::Greater);
-        if candidates == 0 {
-            return None;
+        let mut codes = [0u32; MAX_ARITY];
+        let needle = &mut codes[..key.len()];
+        for ((code, col), v) in needle.iter_mut().zip(&self.columns).zip(key) {
+            // A value absent from its dictionary cannot be in the segment.
+            *code = col.code_of(v)?;
         }
-        let block = candidates - 1;
-        let start = block * self.block_size;
+        // The blocks whose first key is <= the needle form a prefix.
+        let (mut lo, mut hi) = (0, self.blocks.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.cmp_row(mid * self.block_size, needle) == Ordering::Greater {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let start = lo.checked_sub(1)? * self.block_size;
         let end = (start + self.block_size).min(self.len());
         (start..end)
-            .find(|&i| self.cmp_row(i, &needle) == Ordering::Equal)
+            .find(|&i| self.cmp_row(i, needle) == Ordering::Equal)
             .map(|i| &self.values[i])
     }
 
@@ -325,16 +345,18 @@ impl Segment {
                     "cuboid {mask}: column {slot} dictionary not sorted/distinct"
                 )));
             }
+            // The whole code column as one slice: one bounds check, then
+            // the range check over the decoded codes.
             r.check_count(rows, 4, "row codes")?;
-            let mut codes = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let code = r.u32()?;
-                if code as usize >= dict_len {
-                    return Err(r.corrupt(format!(
-                        "cuboid {mask}: column {slot} code {code} beyond dictionary"
-                    )));
-                }
-                codes.push(code);
+            let codes: Vec<u32> = r
+                .take(rows * 4)?
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect();
+            if let Some(code) = codes.iter().find(|&&c| c as usize >= dict_len) {
+                return Err(r.corrupt(format!(
+                    "cuboid {mask}: column {slot} code {code} beyond dictionary"
+                )));
             }
             columns.push(Column { dict, codes });
         }
@@ -372,14 +394,11 @@ impl Segment {
             blocks,
         };
         // Rows must be sorted strictly ascending (groups are unique).
-        for i in 1..seg.len() {
-            let prev: Vec<u32> = seg.columns.iter().map(|c| c.codes[i - 1]).collect();
-            if seg.cmp_row(i, &prev) != Ordering::Greater {
-                return Err(Error::corrupt(
-                    "segment",
-                    format!("cuboid {mask}: rows not sorted at {i}"),
-                ));
-            }
+        if let Some(i) = (1..seg.len()).find(|&i| seg.cmp_rows(i - 1, i) != Ordering::Less) {
+            return Err(Error::corrupt(
+                "segment",
+                format!("cuboid {mask}: rows not sorted at {i}"),
+            ));
         }
         Ok(seg)
     }
@@ -463,6 +482,13 @@ mod tests {
         let last = seg.len() - 1;
         let last_key = seg.key(last);
         assert_eq!(seg.point(&last_key), Some(seg.value(last)));
+        // Every row, across every block boundary.
+        for i in 0..seg.len() {
+            assert_eq!(seg.point(&seg.key(i)), Some(seg.value(i)), "row {i}");
+        }
+        // Both values are in their dictionaries, but the last row is
+        // (71, 2): the probe lands past the end of the last block.
+        assert_eq!(seg.point(&[Value::Int(71), Value::Int(3)]), None);
         // Absent values (not even in the dictionary) miss cheaply.
         assert_eq!(seg.point(&[Value::Int(999), Value::Int(0)]), None);
         // Wrong arity misses rather than panicking.

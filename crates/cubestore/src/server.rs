@@ -17,9 +17,11 @@
 //! drain, and anything still queued when it expires receives a typed
 //! [`ServeError::ShuttingDown`].
 //!
-//! Workers answer through the shared store (one `Arc<CubeStore>`; its
+//! Workers read through the shared store (one `Arc<CubeStore>`; its
 //! segment cache and counters are already thread-safe), so concurrent
-//! queries against hot cuboids hit the same cached segments.
+//! queries against hot cuboids hit the same cached segments. Each query
+//! fetches its cuboid's segment once and is answered from it, so it
+//! counts one cache hit or miss, deadline or not.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -479,22 +481,17 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
             }
         }
         let t0 = Stopwatch::start();
-        let exec = || match deadline {
-            Some(dl) => {
-                // Warm the cuboid first — the blob fetch/decode (a cache
-                // miss) is the expensive, faultable step — then re-check
-                // the budget before scanning. The fetched segment stays
-                // in the store cache, so answering does not re-read it.
-                match store.segment(req.cuboid()) {
-                    Err(e) => Ok(Response::Failed(e.to_string())),
-                    Ok(_) if shared.clock.now_us() >= dl.at_us => {
-                        note_deadline_miss(shared, store.obs(), "scan");
-                        Err(ServeError::DeadlineExceeded)
-                    }
-                    Ok(_) => Ok(answer(store, &req)),
-                }
+        // Fetch the query's segment once — on a cache miss the blob fetch
+        // and decode are the expensive, faultable step — and answer from
+        // it, so the query counts exactly one cache hit or miss. Check 3
+        // of 3 re-checks the budget between the fetch and the scan.
+        let exec = || match store.segment(req.cuboid()) {
+            Err(e) => Ok(Response::Failed(e.to_string())),
+            Ok(_) if deadline.is_some_and(|dl| shared.clock.now_us() >= dl.at_us) => {
+                note_deadline_miss(shared, store.obs(), "scan");
+                Err(ServeError::DeadlineExceeded)
             }
-            None => Ok(answer(store, &req)),
+            Ok(seg) => Ok(answer(seg.as_ref(), &req)),
         };
         // The scope hands the flight context to the storage layer, which
         // sits behind `CubeRead` and cannot take a context parameter.
@@ -738,6 +735,29 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.deadline_exceeded, 1);
         assert_eq!(stats.served, 0);
+    }
+
+    #[test]
+    fn each_query_counts_one_cache_access() {
+        let store = serving_store();
+        let server = CubeServer::start(Arc::clone(&store), mock_config(1, 8));
+        // A deadline query on a cold cuboid: the fetch before the budget
+        // re-check is its only cache access.
+        let dl = server.deadline_in(1_000_000);
+        let resp = server
+            .query_at(Request::CuboidLen { mask: Mask(0b11) }, Some(dl))
+            .expect("in-budget answer");
+        assert_eq!(resp, Response::Len(3));
+        let stats = store.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 0));
+        // Without a deadline the count is the same.
+        let resp = server
+            .query(Request::CuboidLen { mask: Mask(0b01) })
+            .expect("answer");
+        assert_eq!(resp, Response::Len(2));
+        let stats = store.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (2, 0));
+        server.shutdown();
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! it either finds a complete generation or returns a typed error. Opened
 //! stores answer the [`CubeRead`] OLAP operations directly from segments:
 //! point lookups go through the sparse first-key index, slices through
-//! the zone maps, and decoded segments are held in an LRU hot-cuboid
-//! cache with hit/miss counters.
+//! the zone maps, top-k through one pass over the values column, and
+//! decoded segments are held in an LRU hot-cuboid cache with hit/miss
+//! counters.
 //!
 //! **Corruption** — every blob is checksummed. If a segment fails its
 //! checksum (or has gone missing), the store does not fail the query:
@@ -35,7 +36,8 @@
 //! blob on the read path: repairing the damage is the
 //! [`crate::scrub::Scrubber`]'s job.
 
-use std::collections::BTreeMap;
+use std::cmp;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -510,33 +512,142 @@ impl CubeStore {
     }
 }
 
+/// A decoded segment answers the [`CubeRead`] queries about its own cuboid
+/// from its columns, building [`Group`]s only for the rows it returns.
+/// Asking it about any other cuboid is an internal error: every query
+/// reads exactly one cuboid, so the caller fetched the wrong segment.
+impl CubeRead for Segment {
+    fn dims(&self) -> usize {
+        Segment::dims(self)
+    }
+
+    fn cuboid_rows(&self, mask: Mask) -> Result<Vec<(Group, AggOutput)>> {
+        holds(self, mask)?;
+        Ok(self.iter().map(|(g, v)| (g, v.clone())).collect())
+    }
+
+    fn point(&self, mask: Mask, key: &[Value]) -> Result<Option<AggOutput>> {
+        holds(self, mask)?;
+        Ok(Segment::point(self, key).cloned())
+    }
+
+    fn cuboid_len(&self, mask: Mask) -> Result<usize> {
+        holds(self, mask)?;
+        Ok(self.len())
+    }
+
+    /// Zone-map-pruned slice (overrides the scan-everything default).
+    fn slice(&self, mask: Mask, dim: usize, value: &Value) -> Result<Vec<(Group, AggOutput)>> {
+        let slot = slice_slot(mask, dim)?;
+        holds(self, mask)?;
+        Ok(self
+            .slice_rows(slot, value)
+            .into_iter()
+            .map(|i| (self.group(i), self.value(i).clone()))
+            .collect())
+    }
+
+    /// The top-k kernel (overrides the sort-every-row default): one pass
+    /// over the values column keeps the best `n` rows in a heap, and only
+    /// they become [`Group`]s. The order is value by IEEE-754 total order
+    /// descending, then row ascending — which is key ascending, since rows
+    /// are sorted by key — exactly the default's. The heap never reserves
+    /// more than the row count, whatever `n` is.
+    fn top(&self, mask: Mask, n: usize) -> Result<Vec<(Group, f64)>> {
+        holds(self, mask)?;
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let mut heap = BinaryHeap::with_capacity(n.min(self.len()));
+        for (row, v) in self.values().iter().enumerate() {
+            let &AggOutput::Number(x) = v else { continue };
+            let cand = Ranked { x, row };
+            if heap.len() < n {
+                heap.push(cand);
+            } else if let Some(mut weakest) = heap.peek_mut() {
+                if cand < *weakest {
+                    *weakest = cand;
+                }
+            }
+        }
+        Ok(heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| (self.group(r.row), r.x))
+            .collect())
+    }
+}
+
+/// `Ok` when `seg` holds cuboid `mask`.
+fn holds(seg: &Segment, mask: Mask) -> Result<()> {
+    if seg.mask() == mask {
+        Ok(())
+    } else {
+        Err(Error::Internal(format!(
+            "segment of cuboid {} asked about cuboid {mask}",
+            seg.mask()
+        )))
+    }
+}
+
+/// One row's scalar aggregate in a top-k ranking, ordered worst first: a
+/// lower value (IEEE-754 total order) is greater, and so is a later row
+/// among equal values. A max-heap of them keeps the weakest winner on top.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    x: f64,
+    row: usize,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Ranked) -> cmp::Ordering {
+        other.x.total_cmp(&self.x).then(self.row.cmp(&other.row))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Ranked) -> Option<cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Ranked) -> bool {
+        self.cmp(other) == cmp::Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Every read fetches the cuboid's segment (one cache access) and lets the
+/// segment answer, so zone-map-pruned slices and the one-pass top-k kernel
+/// override the trait's scan-everything defaults here too.
 impl CubeRead for CubeStore {
     fn dims(&self) -> usize {
         self.manifest.d
     }
 
     fn cuboid_rows(&self, mask: Mask) -> Result<Vec<(Group, AggOutput)>> {
-        let seg = self.segment(mask)?;
-        Ok(seg.iter().map(|(g, v)| (g, v.clone())).collect())
+        self.segment(mask)?.cuboid_rows(mask)
     }
 
     fn point(&self, mask: Mask, key: &[Value]) -> Result<Option<AggOutput>> {
-        Ok(self.segment(mask)?.point(key).cloned())
+        CubeRead::point(self.segment(mask)?.as_ref(), mask, key)
     }
 
     fn cuboid_len(&self, mask: Mask) -> Result<usize> {
-        Ok(self.segment(mask)?.len())
+        self.segment(mask)?.cuboid_len(mask)
     }
 
-    /// Zone-map-pruned slice (overrides the scan-everything default).
     fn slice(&self, mask: Mask, dim: usize, value: &Value) -> Result<Vec<(Group, AggOutput)>> {
-        let slot = slice_slot(mask, dim)?;
-        let seg = self.segment(mask)?;
-        Ok(seg
-            .slice_rows(slot, value)
-            .into_iter()
-            .map(|i| (seg.group(i), seg.value(i).clone()))
-            .collect())
+        // A slice on an ungrouped dimension fails before the fetch, so it
+        // costs no cache access and no degraded recompute.
+        slice_slot(mask, dim)?;
+        self.segment(mask)?.slice(mask, dim, value)
+    }
+
+    fn top(&self, mask: Mask, n: usize) -> Result<Vec<(Group, f64)>> {
+        self.segment(mask)?.top(mask, n)
     }
 }
 
@@ -642,6 +753,19 @@ mod tests {
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 2);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slice_on_an_ungrouped_dimension_fails_before_the_fetch() {
+        let dfs = Arc::new(Dfs::new());
+        built(&dfs);
+        let store = CubeStore::open(dfs, "store").expect("open");
+        let err = store
+            .slice(Mask(0b011), 2, &Value::Int(2))
+            .expect_err("dimension 2 is not grouped");
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        let stats = store.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (0, 0));
     }
 
     #[test]
@@ -763,5 +887,84 @@ mod tests {
         assert!(store.cuboid_rows(Mask(0b111)).expect("rows").is_empty());
         let key = vec![Value::Int(1), Value::Int(1), Value::Int(1)];
         assert_eq!(store.point(Mask(0b111), &key).expect("point"), None);
+    }
+
+    fn ints(vals: &[i64]) -> Box<[Value]> {
+        vals.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    /// A segment seen through the trait's provided methods only, so its
+    /// `top` is the default that sorts every row.
+    struct Defaults<'a>(&'a Segment);
+
+    impl CubeRead for Defaults<'_> {
+        fn dims(&self) -> usize {
+            self.0.dims()
+        }
+        fn cuboid_rows(&self, mask: Mask) -> Result<Vec<(Group, AggOutput)>> {
+            self.0.cuboid_rows(mask)
+        }
+        fn point(&self, mask: Mask, key: &[Value]) -> Result<Option<AggOutput>> {
+            CubeRead::point(self.0, mask, key)
+        }
+    }
+
+    #[test]
+    fn top_kernel_matches_the_sorting_default_at_every_n() {
+        // Ties, both zeros, both infinities, both NaN signs, and top-k
+        // outputs the ranking must skip.
+        let scores = [
+            1.0,
+            -0.0,
+            f64::NAN,
+            1.0,
+            0.0,
+            f64::INFINITY,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            1.0,
+            -2.5,
+        ];
+        let rows: Vec<(Box<[Value]>, AggOutput)> = (0..150)
+            .map(|i| {
+                let v = if i % 11 == 3 {
+                    AggOutput::TopK(vec![(1.0, 2)])
+                } else {
+                    AggOutput::Number(scores[i % scores.len()])
+                };
+                (ints(&[(i % 13) as i64, (i / 13) as i64]), v)
+            })
+            .collect();
+        let mask = Mask(0b011);
+        let seg = Segment::build(2, mask, rows);
+        let len = seg.len();
+        for n in [0, 1, 2, 10, len - 1, len, len + 1, usize::MAX] {
+            let bits = |ranked: Vec<(Group, f64)>| -> Vec<(Group, u64)> {
+                ranked.into_iter().map(|(g, x)| (g, x.to_bits())).collect()
+            };
+            let got = seg.top(mask, n).expect("kernel");
+            assert!(got.capacity() <= len, "top-{n} reserved past the rows");
+            assert_eq!(
+                bits(got),
+                bits(Defaults(&seg).top(mask, n).expect("default")),
+                "top-{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn segment_reads_of_another_cuboid_are_internal_errors() {
+        let rows = (0..10)
+            .map(|i| (ints(&[i / 7, i % 7]), AggOutput::Number(i as f64)))
+            .collect();
+        let seg = Segment::build(3, Mask(0b011), rows);
+        let other = Mask(0b101);
+        assert!(matches!(seg.top(other, 3), Err(Error::Internal(_))));
+        assert!(matches!(seg.cuboid_len(other), Err(Error::Internal(_))));
+        assert!(matches!(
+            CubeRead::point(&seg, other, &[Value::Int(0), Value::Int(0)]),
+            Err(Error::Internal(_))
+        ));
+        assert_eq!(seg.cuboid_len(seg.mask()).expect("own cuboid"), 10);
     }
 }

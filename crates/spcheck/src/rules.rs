@@ -79,8 +79,11 @@ const POLICY: &[(Scope, &[&str])] = &[
             "crates/mapreduce/src/dfs.rs",
             "crates/core/src/spcube/**",
             "crates/obs/src/**",
-            // Every cubestore serving module; segment.rs is builder-side
-            // (BUC recursion asserts freely) and lib.rs is re-exports.
+            // Every cubestore serving module. segment.rs is exempt: it is
+            // the columnar layout (the builder asserts, and the row
+            // accessors index columns whose lengths decode has checked);
+            // the query kernels over it live in store.rs, in scope.
+            // lib.rs is re-exports.
             "crates/cubestore/src/*.rs",
             "!crates/cubestore/src/segment.rs",
             "!crates/cubestore/src/lib.rs",

@@ -14,7 +14,7 @@
 
 use sp_cube_repro::agg::{AggOutput, AggSpec};
 use sp_cube_repro::common::codec::seal;
-use sp_cube_repro::common::{Mask, Value};
+use sp_cube_repro::common::{Error, Mask, Value};
 use sp_cube_repro::core::{build_exact_sketch, SpSketch};
 use sp_cube_repro::cubestore::{segment_path, Manifest, ManifestEntry, Segment};
 use sp_cube_repro::datagen;
@@ -145,6 +145,102 @@ fn resealed_mutants_never_panic() {
                 // Outcome free; absence of panic is the assertion.
                 let _ = decode(&body);
             }
+        }
+    }
+}
+
+/// Rows of the fixed-width segment [`pinned_segment`] builds.
+const PINNED_ROWS: usize = 40;
+
+/// A genuine segment whose every field has a fixed width — two integer
+/// key columns and scalar outputs, all tagged 9-byte values — so a test
+/// can address any field of its body. Row `i` has key `(i / 7, i % 7)`.
+/// Returns the body (the blob without its checksum) and the offsets of
+/// each column's dictionary and codes and of the block count.
+fn pinned_segment() -> (Vec<u8>, [(usize, usize); 2], usize) {
+    const HEADER: usize = 5 + 4 * 4; // magic, d, mask, rows, block size
+    const VALUE: usize = 9; // tag + 8-byte payload
+    let rows: Vec<(Box<[Value]>, AggOutput)> = (0..PINNED_ROWS as i64)
+        .map(|i| {
+            let key: Box<[Value]> = vec![Value::Int(i / 7), Value::Int(i % 7)].into();
+            (key, AggOutput::Number(i as f64))
+        })
+        .collect();
+    let blob = Segment::build(3, Mask(0b011), rows)
+        .encode()
+        .expect("encode segment");
+    let body = blob[..blob.len() - 8].to_vec();
+    let dict_lens = [PINNED_ROWS.div_ceil(7), 7];
+    let mut at = HEADER;
+    let columns = dict_lens.map(|len| {
+        let dict = at + 4;
+        let codes = dict + len * VALUE;
+        at = codes + PINNED_ROWS * 4;
+        (dict, codes)
+    });
+    let n_blocks = at + PINNED_ROWS * VALUE;
+    // One block of two (min, max) code pairs follows the count.
+    assert_eq!(body.len(), n_blocks + 4 + 2 * 8, "layout drifted");
+    (body, columns, n_blocks)
+}
+
+/// An in-place edit of a segment body.
+type Mutation<'a> = &'a dyn Fn(&mut Vec<u8>);
+
+fn put_u32_at(body: &mut [u8], at: usize, x: u32) {
+    body[at..at + 4].copy_from_slice(&x.to_le_bytes());
+}
+
+/// Resealed mutants that break one structural invariant each must be
+/// rejected by the decoder check that owns that invariant — not merely
+/// without a panic, but as `Error::Corrupt` naming the broken rule.
+#[test]
+fn resealed_mutants_fail_their_own_check() {
+    let (body, [(dict0, codes0), (dict1, codes1)], n_blocks) = pinned_segment();
+    let mut genuine = body.clone();
+    seal(&mut genuine);
+    assert!(decode_segment(&genuine), "genuine segment must decode");
+
+    let code = |col: usize, row: usize| [codes0, codes1][col] + 4 * row;
+    let swap = |b: &mut Vec<u8>, x: usize, y: usize, width: usize| {
+        let tmp = b[x..x + width].to_vec();
+        b.copy_within(y..y + width, x);
+        b[y..y + width].copy_from_slice(&tmp);
+    };
+    let swap_rows = |b: &mut Vec<u8>| {
+        for col in 0..2 {
+            swap(b, code(col, 10), code(col, 11), 4);
+        }
+    };
+    let duplicate_row = |b: &mut Vec<u8>| {
+        for col in 0..2 {
+            b.copy_within(code(col, 10)..code(col, 10) + 4, code(col, 11));
+        }
+    };
+    let mutants: [(&str, Mutation); 7] = [
+        ("column 0 code 6 beyond dictionary", &|b| {
+            put_u32_at(b, code(0, 39), 6)
+        }),
+        ("rows not sorted at 11", &swap_rows),
+        ("rows not sorted at 11", &duplicate_row),
+        ("column 0 dictionary not sorted/distinct", &|b| {
+            swap(b, dict0, dict0 + 9, 9)
+        }),
+        ("column 1 dictionary not sorted/distinct", &|b| {
+            swap(b, dict1 + 9, dict1 + 18, 9)
+        }),
+        ("2 blocks for 40 rows", &|b| put_u32_at(b, n_blocks, 2)),
+        ("trailing bytes", &|b| b.push(0)),
+    ];
+    for (check, mutate) in &mutants {
+        let mut mutant = body.clone();
+        mutate(&mut mutant);
+        seal(&mut mutant);
+        match Segment::decode(&mutant) {
+            Err(Error::Corrupt { detail, .. }) => {
+                assert!(detail.contains(check), "want `{check}`, got `{detail}`")
+            }
+            other => panic!("want `{check}`, got {other:?}"),
         }
     }
 }

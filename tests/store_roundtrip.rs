@@ -13,10 +13,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use sp_cube_repro::agg::AggSpec;
+use sp_cube_repro::agg::{AggOutput, AggSpec};
 use sp_cube_repro::common::{Group, Mask, Relation, Schema, Value};
-use sp_cube_repro::cubealg::{buc, naive_cube, BucConfig, CubeQuery, CubeRead};
-use sp_cube_repro::cubestore::{segment_path, write_store, BlobStore, CubeStore};
+use sp_cube_repro::cubealg::{buc, naive_cube, BucConfig, Cube, CubeQuery, CubeRead};
+use sp_cube_repro::cubestore::{ingest_batch, segment_path, write_store, BlobStore, CubeStore};
 use sp_cube_repro::datagen;
 use sp_cube_repro::mapreduce::Dfs;
 
@@ -190,6 +190,114 @@ fn slice_on_an_empty_cuboid_is_empty() {
         .is_empty());
     // Slicing on an ungrouped dimension stays an error even when empty.
     assert!(store.slice(Mask::single(0), 1, &Value::Int(1)).is_err());
+}
+
+/// Assert the store's top-k kernel ranks every cuboid exactly as the
+/// in-memory index: the same groups in the same order, and values with
+/// the same bits, for every `n` around the cuboid's size.
+fn assert_same_top(store: &CubeStore, mem: &CubeQuery<'_>, case: &str) {
+    let bits = |ranked: Vec<(Group, f64)>| -> Vec<(Group, u64)> {
+        ranked.into_iter().map(|(g, x)| (g, x.to_bits())).collect()
+    };
+    for mask in Mask::full(store.dims()).subsets() {
+        let len = mem.cuboid_len(mask);
+        for n in [0, 1, 10, len.saturating_sub(1), len, len + 1, usize::MAX] {
+            let want = mem.top(mask, n).into_iter().map(|(g, x)| (g.clone(), x));
+            assert_eq!(
+                bits(store.top(mask, n).unwrap()),
+                bits(want.collect()),
+                "{case}: top-{n} of cuboid {mask}"
+            );
+        }
+    }
+}
+
+/// Whether any cuboid's scalar outputs satisfy `pred`.
+fn has_output(cube: &Cube, pred: impl Fn(f64) -> bool) -> bool {
+    cube.iter()
+        .any(|(_, v)| matches!(v, AggOutput::Number(x) if pred(*x)))
+}
+
+#[test]
+fn top_k_matches_memory_on_ties_zeros_infinities_and_nan() {
+    // SUM over measures that tie, cancel to NaN, and overflow to ±∞:
+    // each of the 60 base groups gets 4 tuples, picked by its number.
+    let mut rel = Relation::empty(Schema::synthetic(3));
+    for i in 0..240i64 {
+        let dims = vec![Value::Int(i % 4), Value::Int(i % 5), Value::Int(i % 6)];
+        let m = match i % 60 % 8 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 if i < 60 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => f64::NAN,
+            4 => -0.0,
+            _ => (i % 3) as f64,
+        };
+        rel.push_row(dims, m);
+    }
+    let (cube, store) = stored(&rel, AggSpec::Sum, 1);
+    assert!(has_output(&cube, |x| x == f64::INFINITY));
+    assert!(has_output(&cube, |x| x == f64::NEG_INFINITY));
+    assert!(has_output(&cube, f64::is_nan));
+    assert_same_top(&store, &CubeQuery::new(&cube, 3), "sum");
+
+    // SUM starts from +0.0, so no sum is -0.0: write both zeros, both NaN
+    // signs and ties directly.
+    let scores = [
+        -0.0,
+        0.0,
+        f64::NAN,
+        -f64::NAN,
+        5.0,
+        -0.0,
+        f64::INFINITY,
+        5.0,
+    ];
+    let cube = Cube::from_pairs((0..40i64).map(|i| {
+        let g = Group::new(Mask(0b11), vec![Value::Int(i % 8), Value::Int(i / 8)]);
+        (g, AggOutput::Number(scores[i as usize % scores.len()]))
+    }));
+    assert!(has_output(&cube, |x| x == 0.0 && x.is_sign_negative()));
+    let dfs = Arc::new(Dfs::new());
+    write_store(dfs.as_ref(), "z", &cube, 2, AggSpec::Sum, 1).unwrap();
+    let store = CubeStore::open(dfs as Arc<dyn BlobStore>, "z").unwrap();
+    assert_same_top(&store, &CubeQuery::new(&cube, 2), "signed zeros");
+}
+
+#[test]
+fn top_k_matches_memory_on_skipped_pruned_and_layered_cuboids() {
+    let rel = datagen::gen_zipf(400, 3, 0x70b);
+
+    // Top-k-frequent outputs are all skipped: every ranking is empty.
+    let (cube, store) = stored(&rel, AggSpec::TopKFrequent(3), 1);
+    assert!(store.top(Mask::full(3), usize::MAX).unwrap().is_empty());
+    assert_same_top(&store, &CubeQuery::new(&cube, 3), "top-k-frequent");
+
+    // An iceberg store in which some cuboid is not materialized at all.
+    let (cube, store) = stored(&rel, AggSpec::Count, 40);
+    assert!(Mask::full(3)
+        .subsets()
+        .any(|mask| store.manifest().entry(mask).is_none()));
+    assert_same_top(&store, &CubeQuery::new(&cube, 3), "iceberg");
+
+    // A layered delta store: three SUM layers of integer-valued measures
+    // (so sums are exact) against the monolithic cube.
+    let mut int_rel = Relation::empty(Schema::synthetic(3));
+    let mut parts = vec![Relation::empty(Schema::synthetic(3)); 3];
+    for (i, t) in rel.tuples().iter().enumerate() {
+        let m = (i % 7) as f64;
+        int_rel.push_row(t.dims.to_vec(), m);
+        parts[i % 3].push_row(t.dims.to_vec(), m);
+    }
+    let dfs = Arc::new(Dfs::new());
+    for part in &parts {
+        ingest_batch(dfs.as_ref(), "inc", part, AggSpec::Sum).unwrap();
+    }
+    let store = CubeStore::open(dfs as Arc<dyn BlobStore>, "inc").unwrap();
+    assert_eq!(store.layer_count(), 3);
+    let cube = naive_cube(&int_rel, AggSpec::Sum);
+    assert_same_top(&store, &CubeQuery::new(&cube, 3), "layered");
 }
 
 /// Strategy: a small relation with clustered values (small domains force
