@@ -3,10 +3,11 @@
 //! The SP-Sketch blob (`SPSK1`), the columnar segment (`CSEG1`) and the
 //! store manifest (`CMAN1`) all follow the same conventions: a 5-byte
 //! magic, little-endian fixed-width integers, tagged values (`0` = 8-byte
-//! integer, `1` = length-prefixed UTF-8), and a trailing 64-bit FNV-1a
-//! checksum over everything before it. This module is the one place those
-//! conventions — and in particular the FNV-1a parameters — are defined;
-//! `spcheck` rule R2 rejects any second literal occurrence elsewhere.
+//! integer, `1` = length-prefixed UTF-8), and a trailing 64-bit XXH64
+//! checksum (seed 0) over everything before it. This module is the one
+//! place those conventions — and in particular the XXH64 primes — are
+//! defined; `spcheck` rule R2 rejects any second literal occurrence
+//! elsewhere.
 //!
 //! Decoding is fully defensive: every read is bounds-checked, every
 //! declared element count is validated against the bytes actually left,
@@ -16,24 +17,86 @@
 use crate::error::{Error, Result};
 use crate::value::Value;
 
-/// FNV-1a 64-bit offset basis (the only literal occurrence in the tree).
-pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime (the only literal occurrence in the tree).
-pub const FNV_PRIME: u64 = 0x100_0000_01b3;
+// The five XXH64 primes (the only literal occurrences in the tree).
+const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
 
 /// Value tag: 64-bit integer payload.
 pub const TAG_INT: u8 = 0;
 /// Value tag: length-prefixed UTF-8 payload.
 pub const TAG_STR: u8 = 1;
 
-/// 64-bit FNV-1a over `bytes` — the checksum sealing every store blob.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// One XXH64 lane step: fold the 8-byte word `input` into `acc`.
+fn xxh64_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// Fold lane `v` into the converged hash `h`.
+fn xxh64_merge(h: u64, v: u64) -> u64 {
+    (h ^ xxh64_round(0, v))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+/// XXH64 with seed 0 over `bytes` — the checksum sealing every store
+/// blob. Inputs of 32 bytes or more run four independent lanes over
+/// 32-byte stripes, so the hash is not one dependent multiply per byte.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        PRIME64_5
+    } else {
+        let mut v = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            0u64.wrapping_sub(PRIME64_1),
+        ];
+        for stripe in stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *lane = xxh64_round(*lane, u64::from_le_bytes(*word));
+            }
+        }
+        let [v1, v2, v3, v4] = v;
+        let h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        v.into_iter().fold(h, xxh64_merge)
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+
+    let (words, mut rest) = tail.as_chunks::<8>();
+    for word in words {
+        h = (h ^ xxh64_round(0, u64::from_le_bytes(*word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
     }
-    h
+    if let Some((half, after)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        rest = after;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 /// Append a little-endian `u32`.
@@ -109,6 +172,14 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// The bytes not yet consumed, without consuming them: lets a caller
+    /// parse a run of fixed-width records in bulk, then [`take`] them.
+    ///
+    /// [`take`]: Reader::take
+    pub fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
     }
 
     /// Whether the cursor consumed every byte.
@@ -191,7 +262,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Split `bytes` into the checked body and verify the trailing FNV-1a
+/// Split `bytes` into the checked body and verify the trailing XXH64
 /// checksum; returns the body on success. The common prologue of every
 /// store reader.
 pub fn checked_body<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
@@ -209,7 +280,7 @@ pub fn checked_body<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
         .try_into()
         .map_err(|_| Error::corrupt(what, "checksum tail misread"))?;
     let stored = u64::from_le_bytes(tail);
-    let computed = fnv1a(body);
+    let computed = xxh64(body);
     if stored != computed {
         return Err(Error::corrupt(
             what,
@@ -219,9 +290,9 @@ pub fn checked_body<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
     Ok(body)
 }
 
-/// Append the FNV-1a checksum of everything currently in `out`.
+/// Append the XXH64 checksum of everything currently in `out`.
 pub fn seal(out: &mut Vec<u8>) {
-    let sum = fnv1a(out);
+    let sum = xxh64(out);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -230,11 +301,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_known_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), FNV_OFFSET_BASIS);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn xxh64_known_vectors() {
+        // Published XXH64 seed-0 test vectors. The 39-byte input runs one
+        // 32-byte stripe, then the 4-byte and the single-byte tails.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
     }
 
     #[test]
@@ -260,6 +336,25 @@ mod tests {
                 checked_body(&bad, "test").is_err(),
                 "flip at {i} undetected"
             );
+        }
+    }
+
+    #[test]
+    fn seal_and_check_detect_every_two_bit_flip() {
+        let mut blob: Vec<u8> = (0u8..64).map(|b| b.wrapping_mul(37)).collect();
+        seal(&mut blob);
+        assert!(checked_body(&blob, "test").is_ok());
+        let bits = blob.len() * 8;
+        for i in 0..bits {
+            for j in i + 1..bits {
+                let mut bad = blob.clone();
+                bad[i / 8] ^= 1 << (i % 8);
+                bad[j / 8] ^= 1 << (j % 8);
+                assert!(
+                    checked_body(&bad, "test").is_err(),
+                    "flips at bits {i} and {j} undetected"
+                );
+            }
         }
     }
 

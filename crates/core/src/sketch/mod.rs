@@ -21,7 +21,7 @@
 //! in a compact self-checking binary format: the magic `SPSK1`, `d` and
 //! `k` as little-endian `u32`, each cuboid's skew keys and partition
 //! elements (values tagged `0` = 8-byte integer, `1` = length-prefixed
-//! UTF-8), and a trailing 64-bit FNV-1a checksum of everything before it.
+//! UTF-8), and a trailing 64-bit XXH64 checksum of everything before it.
 //! [`SpSketch::from_bytes`] rejects any blob whose checksum does not match
 //! — a single flipped bit on the DFS is detected, letting the SP-Cube
 //! driver fall back instead of partitioning with garbage. On top of the

@@ -3,7 +3,7 @@
 //! The segment format (`CSEG1`) and the manifest format (`CMAN1`) follow
 //! the workspace-wide codec conventions defined once in
 //! [`spcube_common::codec`]: a 5-byte magic, little-endian fixed-width
-//! integers, tagged values, and a trailing 64-bit FNV-1a checksum over
+//! integers, tagged values, and a trailing 64-bit XXH64 checksum over
 //! everything before it. This module re-exports those primitives and adds
 //! the aggregate-specific encodings ([`AggOutput`], [`AggSpec`]) the store
 //! persists. All decoding is panic-free: arbitrary corrupt bytes come
@@ -14,14 +14,28 @@ use spcube_agg::{AggOutput, AggSpec, AggState};
 use spcube_common::Result;
 
 pub use spcube_common::codec::{
-    checked_body, fnv1a, put_f64, put_len, put_u32, put_u64, put_value, seal, Reader, TAG_INT,
-    TAG_STR,
+    checked_body, put_f64, put_len, put_u32, put_u64, put_value, seal, Reader, TAG_INT, TAG_STR,
 };
 
 /// Aggregate-output tag: scalar.
 pub const TAG_NUMBER: u8 = 0;
 /// Aggregate-output tag: ranked `(value, frequency)` list.
 pub const TAG_TOPK: u8 = 1;
+
+/// Wire bytes of one scalar output record: [`TAG_NUMBER`], then the
+/// `f64` bit pattern.
+const SCALAR_BYTES: usize = 9;
+
+/// The value of `rec` if it is a scalar output record, `None` if it
+/// starts with another tag. The one reader of the scalar layout:
+/// [`AggRead::agg_output`] and the bulk [`AggRead::agg_outputs`] both
+/// parse through it.
+fn scalar(rec: &[u8; SCALAR_BYTES]) -> Option<f64> {
+    match rec {
+        [TAG_NUMBER, bits @ ..] => Some(f64::from_bits(u64::from_le_bytes(*bits))),
+        _ => None,
+    }
+}
 
 /// Append a tagged [`AggOutput`].
 pub fn put_agg_output(out: &mut Vec<u8>, v: &AggOutput) -> Result<()> {
@@ -120,6 +134,10 @@ pub fn put_agg_state(out: &mut Vec<u8>, v: &AggState) -> Result<()> {
 pub trait AggRead {
     /// Read a tagged [`AggOutput`].
     fn agg_output(&mut self) -> Result<AggOutput>;
+    /// Read `n` tagged [`AggOutput`]s — the same as `n` calls of
+    /// [`agg_output`](AggRead::agg_output), but each run of scalar
+    /// records is parsed straight from the remaining bytes.
+    fn agg_outputs(&mut self, n: usize) -> Result<Vec<AggOutput>>;
     /// Read an [`AggSpec`].
     fn agg_spec(&mut self) -> Result<AggSpec>;
     /// Read a tagged [`AggState`].
@@ -128,6 +146,10 @@ pub trait AggRead {
 
 impl AggRead for Reader<'_> {
     fn agg_output(&mut self) -> Result<AggOutput> {
+        if let Some(x) = self.rest().first_chunk().and_then(scalar) {
+            self.take(SCALAR_BYTES)?;
+            return Ok(AggOutput::Number(x));
+        }
         let tag = self.u8()?;
         match tag {
             TAG_NUMBER => Ok(AggOutput::Number(self.f64()?)),
@@ -145,6 +167,30 @@ impl AggRead for Reader<'_> {
             }
             other => Err(self.corrupt(format!("bad aggregate tag {other}"))),
         }
+    }
+
+    fn agg_outputs(&mut self, n: usize) -> Result<Vec<AggOutput>> {
+        // An aggregate output is at least 5 wire bytes (tag + u32).
+        self.check_count(n, 5, "aggregate values")?;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let run = out.len();
+            let (records, _) = self.rest().as_chunks::<SCALAR_BYTES>();
+            out.extend(
+                records
+                    .iter()
+                    .take(n - run)
+                    .map_while(scalar)
+                    .map(AggOutput::Number),
+            );
+            self.take((out.len() - run) * SCALAR_BYTES)?;
+            // The run ended short of `n`: a top-k output, a bad tag or a
+            // cut-off record, which the one-at-a-time reader owns.
+            if out.len() < n {
+                out.push(self.agg_output()?);
+            }
+        }
+        Ok(out)
     }
 
     fn agg_spec(&mut self) -> Result<AggSpec> {
@@ -325,6 +371,70 @@ mod tests {
         put_u64(&mut blob, 9);
         put_u64(&mut blob, 3);
         assert!(Reader::new(&blob).agg_state().is_err());
+    }
+
+    /// Outputs as their wire bytes, so NaN payloads and signed zeros
+    /// compare bit-exactly.
+    fn wire(outputs: &[AggOutput]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in outputs {
+            put_agg_output(&mut out, v).expect("encode output");
+        }
+        out
+    }
+
+    #[test]
+    fn bulk_outputs_equal_one_at_a_time_reads() {
+        let outputs = [
+            AggOutput::Number(1.5),
+            AggOutput::Number(-0.0),
+            AggOutput::Number(f64::from_bits(0x7ff8_0000_0000_0001)),
+            AggOutput::Number(f64::from_bits(0xfff0_0000_0000_0002)),
+            AggOutput::TopK(vec![(2.0, 9), (-0.0, 3)]),
+            AggOutput::TopK(Vec::new()),
+            AggOutput::Number(0.0),
+            AggOutput::Number(f64::NEG_INFINITY),
+            AggOutput::TopK(vec![(f64::NAN, 1)]),
+            AggOutput::Number(f64::MAX),
+        ];
+        let blob = wire(&outputs);
+        for n in 0..=outputs.len() {
+            let mut bulk = Reader::new(&blob);
+            let got = bulk.agg_outputs(n).expect("bulk read");
+            let mut single = Reader::new(&blob);
+            let want: Vec<AggOutput> = (0..n)
+                .map(|_| single.agg_output().expect("single read"))
+                .collect();
+            assert_eq!(wire(&got), wire(&want), "n = {n}");
+            assert_eq!(wire(&got), wire(&outputs[..n]), "n = {n}");
+            assert_eq!(bulk.pos(), single.pos(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn bulk_outputs_fail_typed() {
+        let corrupt = |blob: &[u8], n: usize, want: &str| match Reader::new(blob).agg_outputs(n) {
+            Err(Error::Corrupt { detail, .. }) => {
+                assert!(detail.contains(want), "want `{want}`, got `{detail}`")
+            }
+            other => panic!("want `{want}`, got {other:?}"),
+        };
+        let scalars = wire(&[1.0, 2.0, 3.0].map(AggOutput::Number));
+
+        // A bad tag in the middle of a scalar run.
+        let mut bad_tag = scalars.clone();
+        bad_tag[SCALAR_BYTES] = 7;
+        corrupt(&bad_tag, 3, "bad aggregate tag 7");
+
+        // The last record cut short, scalar and top-k alike.
+        corrupt(&scalars[..scalars.len() - 3], 3, "truncated");
+        let mut topk = scalars.clone();
+        topk.extend(wire(&[AggOutput::TopK(vec![(1.0, 2)])]));
+        corrupt(&topk[..topk.len() - 1], 4, "top-k entries");
+
+        // More outputs declared than the bytes can hold.
+        corrupt(&scalars, 1000, "declared 1000 aggregate values");
+        corrupt(&scalars, 4, "truncated");
     }
 
     #[test]

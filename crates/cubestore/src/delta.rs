@@ -59,7 +59,7 @@
 //! "DSEG1" | u32 d | u32 mask | u32 n_rows
 //! per row: tagged key values (one per set mask bit, ascending dimension
 //!          order) | tagged agg_state
-//! u64 FNV-1a checksum of everything above
+//! u64 XXH64 checksum of everything above
 //! ```
 //!
 //! Rows are strictly sorted by key, so encoding is deterministic and
@@ -910,9 +910,18 @@ pub(crate) fn merge_into(
 /// The chosen manifest of an incremental store, `Ok(None)` for a prefix
 /// with no committed generation at all (fresh, or only aborted commits —
 /// both start a new chain), and a typed error when the prefix holds a
-/// classic full-rebuild store.
+/// classic full-rebuild store. A prefix that was committed once (its root
+/// pointer exists) but has no fully sealed generation left fails with the
+/// same `Corrupt` as [`crate::store::CubeStore::open`]: starting a new
+/// chain there would serve the batch alone and orphan every older blob.
 fn current_state_manifest(scan: &ScanReport, prefix: &str) -> Result<Option<Manifest>> {
     let Some(chosen) = scan.chosen else {
+        if scan.root_present {
+            return Err(Error::corrupt(
+                "store",
+                format!("no fully sealed generation under `{prefix}`"),
+            ));
+        }
         return Ok(None);
     };
     let manifest = scan
@@ -1252,6 +1261,64 @@ mod tests {
         ingest_batch(dfs.as_ref(), "inc", &rel, AggSpec::Sum).expect("ingest");
         let err = write_store(dfs.as_ref(), "inc", &cube, 3, AggSpec::Sum, 1).expect_err("refuse");
         assert!(matches!(err, Error::Config(_)), "got {err}");
+    }
+
+    /// Every blob under `prefix` with its bytes.
+    fn snapshot(dfs: &Dfs, prefix: &str) -> Vec<(String, Vec<u8>)> {
+        dfs.list_prefix(prefix)
+            .into_iter()
+            .map(|(p, _)| {
+                let bytes = dfs.get(&p).expect("listed blob");
+                (p, bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_committed_store_whose_seals_fail_refuses_ingest_and_compaction() {
+        // A manifest with a wrong trailer is what a blob sealed by an older
+        // build (or rotted in place) looks like to this one.
+        let dfs = Dfs::new();
+        for batch in split(&sample_rel(), &[6]) {
+            ingest_batch(&dfs, "inc", &batch, AggSpec::Sum).expect("ingest");
+        }
+        for path in [
+            manifest_path("inc"),
+            gen_manifest_path("inc", 1),
+            gen_manifest_path("inc", 2),
+        ] {
+            let mut bytes = dfs.get(&path).expect("manifest");
+            *bytes.last_mut().expect("sealed manifest") ^= 0x01;
+            dfs.put(&path, bytes);
+        }
+        let before = snapshot(&dfs, "inc");
+
+        let no_chain = |err: Error| match err {
+            Error::Corrupt { detail, .. } => {
+                assert!(detail.contains("no fully sealed generation"), "{detail}")
+            }
+            other => panic!("want a typed Corrupt, got {other}"),
+        };
+        no_chain(ingest_batch(&dfs, "inc", &sample_rel(), AggSpec::Sum).expect_err("ingest"));
+        no_chain(
+            compact(&dfs, "inc", &CompactionPolicy { max_layers: 1 }).expect_err("compaction"),
+        );
+        assert!(
+            snapshot(&dfs, "inc") == before,
+            "a refused write touched the store"
+        );
+    }
+
+    #[test]
+    fn a_torn_first_commit_still_starts_a_new_chain() {
+        // A crash mid-seal on a medium without atomic replace leaves an
+        // unreadable seal and no root: nothing was ever committed.
+        let dfs = Arc::new(Dfs::new());
+        dfs.put(&gen_manifest_path("inc", 1), b"CMAN1 torn".to_vec());
+        let rel = sample_rel();
+        let report = ingest_batch(dfs.as_ref(), "inc", &rel, AggSpec::Sum).expect("ingest");
+        assert_eq!(report.layers, vec![2]);
+        assert_equals_rebuild(&dfs, "inc", &rel, AggSpec::Sum);
     }
 
     #[test]

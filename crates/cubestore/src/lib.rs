@@ -10,7 +10,7 @@
 //!
 //! * **[`codec`]** — shared binary primitives in the SP-Sketch codec
 //!   style: 5-byte magics, little-endian integers, tagged values, and a
-//!   trailing 64-bit FNV-1a checksum on every blob.
+//!   trailing 64-bit XXH64 checksum on every blob.
 //! * **[`segment`]** — one columnar blob per cuboid (the paper's
 //!   one-file-per-cuboid layout, Section 3.1): dictionary-encoded
 //!   dimension columns, a sparse first-key index, and per-block zone

@@ -60,7 +60,7 @@
 //!                                             strictly ascending)
 //! u32 n_entries
 //! per entry: u32 mask | u32 rows | u64 bytes | u32 path_len | path bytes
-//! u64 FNV-1a checksum of everything above
+//! u64 XXH64 checksum of everything above
 //! ```
 
 use spcube_agg::AggSpec;

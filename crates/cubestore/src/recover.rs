@@ -70,6 +70,12 @@ pub struct ScanReport {
     /// generation (missing, torn, or pointing at an unsealed generation)
     /// — i.e. the commit itself was interrupted and the root needs repair.
     pub torn_root: bool,
+    /// True when a root commit pointer blob is listed, whether or not it
+    /// decodes. A commit writes the root only after its generation is
+    /// sealed, so a root with no `chosen` generation means a committed
+    /// store whose seals no longer verify (bit rot, or blobs sealed by an
+    /// older build), not an interrupted first commit.
+    pub root_present: bool,
     /// Listed blobs belonging to no sealed generation and not already in
     /// quarantine: leftovers of aborted commits, to be quarantined.
     pub orphans: Vec<String>,
@@ -153,6 +159,7 @@ pub fn scan_store(blobs: &dyn BlobStore, prefix: &str) -> Result<ScanReport> {
     let torn_root = chosen.is_some() && committed != chosen;
 
     let root = manifest_path(prefix);
+    let root_present = sizes.contains_key(root.as_str());
     let quarantine = format!("{prefix}/{QUARANTINE_DIR}/");
     let orphans = listing
         .into_iter()
@@ -165,6 +172,7 @@ pub fn scan_store(blobs: &dyn BlobStore, prefix: &str) -> Result<ScanReport> {
         committed,
         chosen,
         torn_root,
+        root_present,
         orphans,
     })
 }

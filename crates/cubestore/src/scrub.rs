@@ -1,7 +1,7 @@
 //! The background integrity scrubber: proactive bit-rot detection and
 //! in-place repair for a committed store.
 //!
-//! Every blob in this crate carries a trailing FNV-1a checksum, but until
+//! Every blob in this crate carries a trailing XXH64 checksum, but until
 //! a query touches a segment nothing ever re-verifies it — bit-rot on a
 //! cold cuboid is discovered at the worst possible time, on the serving
 //! path. A [`Scrubber`] closes that gap: it walks the **live generation

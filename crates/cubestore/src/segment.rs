@@ -32,12 +32,13 @@
 //!     u32 dict_len | dict values (sorted, tagged) | rows × u32 codes
 //! rows × tagged aggregate outputs
 //! u32 n_blocks | per block, per column: u32 min_code | u32 max_code
-//! u64 FNV-1a checksum of everything above
+//! u64 XXH64 checksum of everything above
 //! ```
 //!
 //! [`Segment::decode`] verifies the checksum first and then the structural
-//! invariants (sorted dictionaries, in-range codes, sorted rows), so a
-//! corrupt or hand-forged blob is rejected rather than served.
+//! invariants (sorted dictionaries, in-range codes, zone maps equal to
+//! each block's code ranges, sorted rows), so a corrupt or hand-forged
+//! blob is rejected rather than served.
 
 use std::cmp::Ordering;
 
@@ -350,8 +351,10 @@ impl Segment {
             r.check_count(rows, 4, "row codes")?;
             let codes: Vec<u32> = r
                 .take(rows * 4)?
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|&c| u32::from_le_bytes(c))
                 .collect();
             if let Some(code) = codes.iter().find(|&&c| c as usize >= dict_len) {
                 return Err(r.corrupt(format!(
@@ -360,27 +363,26 @@ impl Segment {
             }
             columns.push(Column { dict, codes });
         }
-        // An aggregate output is at least 5 wire bytes (tag + u32).
-        r.check_count(rows, 5, "aggregate values")?;
-        let mut values = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            values.push(r.agg_output()?);
-        }
+        let values = r.agg_outputs(rows)?;
         let n_blocks = r.u32()? as usize;
         if n_blocks != rows.div_ceil(block_size) {
             return Err(r.corrupt(format!(
                 "cuboid {mask}: {n_blocks} blocks for {rows} rows at stride {block_size}"
             )));
         }
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let mut ranges = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                let lo = r.u32()?;
-                let hi = r.u32()?;
-                ranges.push((lo, hi));
+        // Slices skip blocks by their zone maps, so a narrowed range would
+        // drop rows: each persisted range must be its block's code range.
+        let blocks = build_blocks(&columns, rows, block_size);
+        for (b, meta) in blocks.iter().enumerate() {
+            for (slot, &range) in meta.ranges.iter().enumerate() {
+                let stored = (r.u32()?, r.u32()?);
+                if stored != range {
+                    return Err(r.corrupt(format!(
+                        "cuboid {mask}: block {b} column {slot} zone map {stored:?} \
+                         is not its code range {range:?}"
+                    )));
+                }
             }
-            blocks.push(BlockMeta { ranges });
         }
         if !r.is_exhausted() {
             return Err(r.corrupt("trailing bytes after segment"));
@@ -404,20 +406,26 @@ impl Segment {
     }
 }
 
-/// Compute the per-block zone maps for `columns` over `rows` rows.
+/// Compute the per-block zone maps for `columns` over `rows` rows: what
+/// [`Segment::build`] persists and what decode requires the persisted ones
+/// to be.
 fn build_blocks(columns: &[Column], rows: usize, block_size: usize) -> Vec<BlockMeta> {
     let n_blocks = rows.div_ceil(block_size);
     (0..n_blocks)
         .map(|b| {
             let start = b * block_size;
-            let end = (start + block_size).min(rows);
+            // Saturating: decode passes the stride read from the blob.
+            let end = start.saturating_add(block_size).min(rows);
             let ranges = columns
                 .iter()
                 .map(|c| {
-                    let slice = &c.codes[start..end];
-                    let lo = *slice.iter().min().expect("non-empty block");
-                    let hi = *slice.iter().max().expect("non-empty block");
-                    (lo, hi)
+                    // One pass for both ends: decode recomputes these on
+                    // every cache miss.
+                    c.codes[start..end]
+                        .iter()
+                        .fold((u32::MAX, u32::MIN), |(lo, hi), &code| {
+                            (lo.min(code), hi.max(code))
+                        })
                 })
                 .collect();
             BlockMeta { ranges }

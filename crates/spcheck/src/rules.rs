@@ -11,8 +11,9 @@
 //!   sources: `.unwrap()` / `.expect()`, the panicking macros, or slice
 //!   indexing `x[i]`.
 //! * **single_source_format** (R2) — each binary-format magic
-//!   (`SPSK1`, `CSEG1`, `CMAN1`) and the FNV-1a parameters must appear
-//!   literally at exactly one non-test site in the workspace.
+//!   (`SPSK1`, `CSEG1`, `CMAN1`, `DSEG1`) and the five XXH64 primes of
+//!   the blob seal must appear literally at exactly one non-test site in
+//!   the workspace.
 //! * **determinism** (R3) — wall-clock reads only in the one blessed
 //!   module; no `HashMap` on paths that feed persisted or reported
 //!   output (iteration order would leak hasher state into bytes).
@@ -128,11 +129,14 @@ const POLICY: &[(Scope, &[&str])] = &[
 /// Binary-format magics that must be single-sited (R2).
 pub const MAGICS: &[&str] = &["SPSK1", "CSEG1", "CMAN1", "DSEG1"];
 
-/// FNV-1a parameters that must be single-sited (R2), underscore-free
-/// lowercase hex without the `0x` prefix.
-pub const FNV_HEX: &[(&str, &str)] = &[
-    ("FNV offset basis", "cbf29ce484222325"),
-    ("FNV prime", "100000001b3"),
+/// The XXH64 primes of the blob seal, which must be single-sited (R2):
+/// underscore-free lowercase hex without the `0x` prefix.
+pub const SEAL_HEX: &[(&str, &str)] = &[
+    ("XXH64 prime 1", "9e3779b185ebca87"),
+    ("XXH64 prime 2", "c2b2ae3d27d4eb4f"),
+    ("XXH64 prime 3", "165667b19e3779f9"),
+    ("XXH64 prime 4", "85ebca77c2b2ae63"),
+    ("XXH64 prime 5", "27d4eb2f165667c5"),
 ];
 
 /// Segment-wise glob match: `**` spans any number of segments, `*`
@@ -406,8 +410,8 @@ pub fn collect_magic_sites(
     }
 }
 
-/// R2 per-file half: collect FNV-parameter hex-literal sites.
-pub fn collect_fnv_sites(rel: &str, text: &str, out: &mut Vec<MagicSite>) {
+/// R2 per-file half: collect seal-prime hex-literal sites.
+pub fn collect_seal_sites(rel: &str, text: &str, out: &mut Vec<MagicSite>) {
     let bytes = text.as_bytes();
     let mut i = 0;
     while i + 1 < bytes.len() {
@@ -424,7 +428,7 @@ pub fn collect_fnv_sites(rel: &str, text: &str, out: &mut Vec<MagicSite>) {
                 .filter(|&c| c != '_')
                 .collect::<String>()
                 .to_ascii_lowercase();
-            for (what, want) in FNV_HEX {
+            for (what, want) in SEAL_HEX {
                 if hex == *want {
                     out.push(MagicSite {
                         rel: rel.to_string(),
@@ -440,13 +444,13 @@ pub fn collect_fnv_sites(rel: &str, text: &str, out: &mut Vec<MagicSite>) {
     }
 }
 
-/// R2 workspace half: every magic / FNV parameter must have exactly one
+/// R2 workspace half: every magic / seal prime must have exactly one
 /// site. Called once after the walk, with all sites pooled.
 pub fn check_single_source(sites: &[MagicSite], findings: &mut Vec<Finding>) {
     let names: Vec<String> = MAGICS
         .iter()
         .map(|m| (*m).to_string())
-        .chain(FNV_HEX.iter().map(|(w, _)| (*w).to_string()))
+        .chain(SEAL_HEX.iter().map(|(w, _)| (*w).to_string()))
         .collect();
     for what in &names {
         let hits: Vec<&MagicSite> = sites.iter().filter(|s| &s.what == what).collect();
@@ -779,7 +783,7 @@ pub fn check_file(
         &mut findings,
     );
     collect_magic_sites(rel, &scrubbed.literals, test_ranges, magic_sites);
-    collect_fnv_sites(rel, &scrubbed.text, magic_sites);
+    collect_seal_sites(rel, &scrubbed.text, magic_sites);
     findings
 }
 
@@ -1025,7 +1029,7 @@ mod tests {
         let mut f = Vec::new();
         check_single_source(&one, &mut f);
         // SPSK1 ok; everything else missing.
-        assert_eq!(f.len(), MAGICS.len() + FNV_HEX.len() - 1, "{f:?}");
+        assert_eq!(f.len(), MAGICS.len() + SEAL_HEX.len() - 1, "{f:?}");
         assert!(f
             .iter()
             .all(|f| f.message.contains("no literal definition")));
@@ -1052,11 +1056,11 @@ mod tests {
     }
 
     #[test]
-    fn fnv_sites_found_with_underscores_and_case() {
+    fn seal_sites_found_with_underscores_and_case() {
         let mut sites = Vec::new();
-        collect_fnv_sites(
+        collect_seal_sites(
             "crates/common/src/codec.rs",
-            "const B: u64 = 0xcbf2_9ce4_8422_2325;\nconst P: u64 = 0x100_0000_01b3;\n",
+            "const A: u64 = 0x9e37_79b1_85eb_ca87;\nconst B: u64 = 0XC2B2AE3D27D4EB4F;\n",
             &mut sites,
         );
         assert_eq!(sites.len(), 2, "{sites:?}");

@@ -33,8 +33,11 @@ impl Fixture {
     fn with_format_consts(self) -> Fixture {
         self.write(
             "crates/common/src/codec.rs",
-            "pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;\n\
-             pub const FNV_PRIME: u64 = 0x100_0000_01b3;\n",
+            "const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;\n\
+             const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;\n\
+             const PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;\n\
+             const PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;\n\
+             const PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;\n",
         );
         self.write(
             "crates/core/src/sketch/mod.rs",

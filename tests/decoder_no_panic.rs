@@ -217,7 +217,8 @@ fn resealed_mutants_fail_their_own_check() {
             b.copy_within(code(col, 10)..code(col, 10) + 4, code(col, 11));
         }
     };
-    let mutants: [(&str, Mutation); 7] = [
+    let zone = |col: usize| n_blocks + 4 + 8 * col; // block 0's (min, max)
+    let mutants: [(&str, Mutation); 9] = [
         ("column 0 code 6 beyond dictionary", &|b| {
             put_u32_at(b, code(0, 39), 6)
         }),
@@ -230,6 +231,14 @@ fn resealed_mutants_fail_their_own_check() {
             swap(b, dict1 + 9, dict1 + 18, 9)
         }),
         ("2 blocks for 40 rows", &|b| put_u32_at(b, n_blocks, 2)),
+        // A narrowed range would let a slice on code 5 skip the block.
+        ("block 0 column 0 zone map (0, 4)", &|b| {
+            put_u32_at(b, zone(0) + 4, 4)
+        }),
+        ("block 0 column 1 zone map (6, 0)", &|b| {
+            put_u32_at(b, zone(1), 6);
+            put_u32_at(b, zone(1) + 4, 0);
+        }),
         ("trailing bytes", &|b| b.push(0)),
     ];
     for (check, mutate) in &mutants {
