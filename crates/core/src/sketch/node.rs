@@ -59,6 +59,23 @@ impl SketchNode {
         !self.skews.is_empty() && self.skews.contains(key)
     }
 
+    /// Whether the projection onto this cuboid of `key`, a group of cuboid
+    /// `of` (a superset of this node's mask), is a recorded skew. The
+    /// group's own key slots are compared against each skew key in place,
+    /// so no projected key is built; a node with no skews answers at once.
+    #[inline]
+    pub fn is_skewed_projection(&self, of: Mask, key: &[Value]) -> bool {
+        !self.skews.is_empty()
+            && self.skews.iter().any(|skew| {
+                let mut slots = of
+                    .dims()
+                    .zip(key)
+                    .filter(|&(dim, _)| self.mask.contains(dim))
+                    .map(|(_, v)| v);
+                skew.iter().all(|s| slots.next() == Some(s)) && slots.next().is_none()
+            })
+    }
+
     /// Range index of `key` among the partition elements: the number of
     /// elements strictly smaller than `key`. With elements `t_1 <= … <=
     /// t_{k-1}` this sends `key <= t_1` to range 0 and `t_i < key <=

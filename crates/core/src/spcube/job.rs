@@ -67,6 +67,14 @@ impl<'a> SpCubeJob<'a> {
     fn is_skewed(&self, g: &Group) -> bool {
         self.skew_agg && self.sketch.is_skewed_group(g)
     }
+
+    /// [`Self::is_skewed`] of `h.project(sub)`, without building the
+    /// projection: the reducers' anchor filter asks it about each subset
+    /// it walks, for every group BUC emits.
+    #[inline]
+    fn is_skewed_projection(&self, h: &Group, sub: Mask) -> bool {
+        self.skew_agg && self.sketch.node(sub).is_skewed_projection(h.mask, &h.key)
+    }
 }
 
 impl MrJob for SpCubeJob<'_> {
@@ -214,7 +222,7 @@ impl MrJob for SpCubeJob<'_> {
             &self.buc_cfg,
             &mut |h, state| {
                 ctx.charge(1);
-                let assigned = anchor_mask(h.mask, |sub| self.is_skewed(&h.project(sub)));
+                let assigned = anchor_mask(h.mask, |sub| self.is_skewed_projection(&h, sub));
                 if assigned == Some(anchor) {
                     ctx.emit((h, state.finalize()));
                 }
@@ -396,6 +404,48 @@ mod tests {
 
         // Raw rows shipped are bounded by d emissions per tuple.
         assert!(res.metrics.map_output_records <= 100 * 4 + 64);
+    }
+
+    /// The reducers' in-place skew test answers exactly what projecting
+    /// the group and asking the sketch does, for every group and subset,
+    /// with and without map-side skew aggregation.
+    #[test]
+    fn in_place_skew_test_matches_the_projected_lookup() {
+        use proptest::prelude::*;
+        use spcube_cubealg::naive_cube;
+
+        let rows = proptest::collection::vec((0i64..3, 0i64..4, 0i64..2, 0i64..5), 40..160);
+        let mut rng = proptest::TestRng::new(0x5eed);
+        for case in 0..12 {
+            let mut rel = Relation::empty(Schema::synthetic(4));
+            for (a, b, c, e) in rows.generate(&mut rng) {
+                let name = Value::str(["x", "y", "z"][c as usize % 3]);
+                rel.push_row(vec![Value::Int(a), Value::Int(b), name, Value::Int(e)], 1.0);
+            }
+            let sketch = build_exact_sketch(&rel, &ClusterConfig::new(4, 3 + case));
+            let busiest = Mask::full(4)
+                .subsets()
+                .map(|m| sketch.node(m).skew_count())
+                .max();
+            assert!(
+                busiest >= Some(2),
+                "case {case}: want several skews per cuboid"
+            );
+            for skew_agg in [true, false] {
+                let mut cfg = SpCubeConfig::new(AggSpec::Count);
+                cfg.map_side_skew_aggregation = skew_agg;
+                let job = SpCubeJob::new(&sketch, 4, &cfg);
+                let mut skewed = 0;
+                for (h, _) in naive_cube(&rel, AggSpec::Count).iter() {
+                    for sub in h.mask.subsets() {
+                        let expect = job.is_skewed(&h.project(sub));
+                        assert_eq!(job.is_skewed_projection(h, sub), expect, "{h} at {sub}");
+                        skewed += usize::from(expect);
+                    }
+                }
+                assert_eq!(skewed > 0, skew_agg, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Default for BucConfig {
 
 /// Compute the full cube of `rel` with BUC, collecting into a [`Cube`].
 pub fn buc(rel: &Relation, spec: AggSpec, cfg: &BucConfig) -> Cube {
-    let mut cube = Cube::new();
+    let mut pairs = Vec::new();
     let mut refs: Vec<&Tuple> = rel.tuples().iter().collect();
     buc_from(
         &mut refs,
@@ -43,9 +43,9 @@ pub fn buc(rel: &Relation, spec: AggSpec, cfg: &BucConfig) -> Cube {
         Mask::EMPTY,
         spec,
         cfg,
-        &mut |g, s| cube.insert_state(g, &s),
+        &mut |g, s| pairs.push((g, s.finalize())),
     );
-    cube
+    Cube::from_pairs(pairs)
 }
 
 /// Run BUC over `tuples`, emitting one `(group, state)` per c-group whose

@@ -48,5 +48,5 @@ pub use cube::{Cube, CubeBuilder};
 pub use naive::naive_cube;
 pub use pipesort::{pipesort, plan_pipelines, Pipeline};
 pub use query::CubeQuery;
-pub use read::{slice_slot, CubeRead};
+pub use read::{roll_up_cuboid, slice_slot, CubeRead};
 pub use views::{best_ancestor, cuboid_sizes, greedy_select, CuboidSizes, ViewSelection};

@@ -84,17 +84,15 @@ pub fn plan_pipelines(d: usize) -> Vec<Pipeline> {
 /// Compute the full cube with PipeSort: one sort + one pipelined scan per
 /// pipeline from [`plan_pipelines`].
 pub fn pipesort(rel: &Relation, spec: AggSpec) -> Cube {
-    let d = rel.arity();
-    let mut cube = Cube::new();
-    if rel.is_empty() {
-        return cube;
+    let mut pairs = Vec::new();
+    if !rel.is_empty() {
+        for pipe in plan_pipelines(rel.arity()) {
+            scan_pipeline(rel, spec, &pipe, &mut |g, state| {
+                pairs.push((g, state.finalize()))
+            });
+        }
     }
-    for pipe in plan_pipelines(d) {
-        scan_pipeline(rel, spec, &pipe, &mut |g, state| {
-            cube.insert_state(g, &state)
-        });
-    }
-    cube
+    Cube::from_pairs(pairs)
 }
 
 /// Run one pipeline: sort by its order, then a single scan maintaining one

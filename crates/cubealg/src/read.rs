@@ -63,12 +63,7 @@ pub trait CubeRead {
     /// Roll up: the coarser group obtained by dropping `dim` from `g`.
     /// Errors if `dim` is not grouped in `g`.
     fn roll_up(&self, g: &Group, dim: usize) -> Result<Option<(Group, AggOutput)>> {
-        if !g.mask.contains(dim) {
-            return Err(Error::Config(format!(
-                "group is not grouped on dimension {dim}"
-            )));
-        }
-        let coarse = g.project(g.mask.without(dim));
+        let coarse = g.project(roll_up_cuboid(g, dim)?);
         let found = self.point(coarse.mask, &coarse.key)?;
         Ok(found.map(|v| (coarse, v)))
     }
@@ -98,6 +93,18 @@ pub fn slice_slot(mask: Mask, dim: usize) -> Result<usize> {
     mask.dims()
         .position(|i| i == dim)
         .ok_or_else(|| Error::Config(format!("dimension {dim} is not grouped in cuboid {mask}")))
+}
+
+/// The coarser cuboid a roll-up of `g` on `dim` reads, or the shared
+/// roll-up-on-ungrouped-dimension error.
+pub fn roll_up_cuboid(g: &Group, dim: usize) -> Result<Mask> {
+    if g.mask.contains(dim) {
+        Ok(g.mask.without(dim))
+    } else {
+        Err(Error::Config(format!(
+            "group is not grouped on dimension {dim}"
+        )))
+    }
 }
 
 impl CubeRead for CubeQuery<'_> {

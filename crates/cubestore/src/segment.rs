@@ -18,6 +18,13 @@
 //!   on `dim = value` skips every block whose code range excludes the
 //!   value.
 //!
+//! Two constructors share one column builder, so a cuboid encodes to the
+//! same bytes whichever built it. [`Segment::from_sorted`] borrows rows
+//! already sorted by key — the store's write path hands it a cube's
+//! cuboids as they are — and checks that order instead of trusting it.
+//! [`Segment::build`] sorts owned rows first (recovery, delta reads and the
+//! scrubber's repairs).
+//!
 //! Since dictionaries are sorted, code order is key order, and so row
 //! order is key order. The store's query kernels (`CubeRead` for
 //! `Segment`, in the store module) answer from these columns and
@@ -68,6 +75,33 @@ struct Column {
 }
 
 impl Column {
+    /// The dictionary column of key slot `slot` over `keys`, one row per
+    /// key: the distinct values sorted ascending, and each row's index into
+    /// them. One sort of borrowed values, then one pass that clones each
+    /// distinct value once; no per-row lookup. Every key must have the slot.
+    fn build(keys: &[&[Value]], slot: usize) -> Column {
+        let mut order: Vec<(&Value, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(row, k)| (&k[slot], row))
+            .collect();
+        // Stable, so the already sorted runs of a sorted segment's columns
+        // (all of the first one) merge rather than re-sort.
+        order.sort_by(|a, b| a.0.cmp(b.0));
+        let mut dict: Vec<Value> = Vec::new();
+        let mut codes = vec![0; keys.len()];
+        let mut code = 0;
+        for (v, row) in order {
+            if dict.last() != Some(v) {
+                // spcheck:allow(error_hygiene): encode-side cast; dict len <= row count, which put_len caps at u32::MAX at write time
+                code = dict.len() as u32;
+                dict.push(v.clone());
+            }
+            codes[row] = code;
+        }
+        Column { dict, codes }
+    }
+
     /// The dictionary code of `v`, if present.
     fn code_of(&self, v: &Value) -> Option<u32> {
         self.dict
@@ -97,44 +131,58 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Build a segment from the rows of one cuboid. Keys must all have the
-    /// cuboid's arity; rows are sorted by key here, so callers can pass
-    /// them in any order. Panics on an arity mismatch (a programming
-    /// error, like [`Group::new`]).
+    /// Build a segment from the rows of one cuboid, in any order: sorts
+    /// them by key and hands them to [`Segment::from_sorted`]. Panics on
+    /// a key of the wrong arity or a key given twice (programming errors,
+    /// like [`Group::new`]'s arity check).
     pub fn build(d: usize, mask: Mask, mut rows: Vec<(Box<[Value]>, AggOutput)>) -> Segment {
-        let arity = mask.arity() as usize;
-        for (key, _) in &rows {
-            assert_eq!(
-                key.len(),
-                arity,
-                "segment row arity mismatch for cuboid {mask}"
-            );
-        }
         rows.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // Dictionaries: sorted distinct values per column.
-        let mut columns = Vec::with_capacity(arity);
-        for slot in 0..arity {
-            let mut dict: Vec<Value> = rows.iter().map(|(k, _)| k[slot].clone()).collect();
-            dict.sort();
-            dict.dedup();
-            let codes = rows
-                .iter()
-                // spcheck:allow(error_hygiene): encode-side cast; dict len <= row count, which put_len caps at u32::MAX at write time
-                .map(|(k, _)| dict.binary_search(&k[slot]).expect("value in dict") as u32)
-                .collect();
-            columns.push(Column { dict, codes });
+        match Segment::from_sorted(d, mask, rows.iter().map(|(k, v)| (k.as_ref(), v))) {
+            Ok(seg) => seg,
+            Err(e) => panic!("{e}"),
         }
-        let values: Vec<AggOutput> = rows.into_iter().map(|(_, v)| v).collect();
+    }
+
+    /// Build a segment from borrowed rows of one cuboid that are already
+    /// sorted strictly ascending by key, as a [`Cube`]'s cuboids are: no
+    /// sort, and only each column's distinct values and the aggregates are
+    /// copied. The order is checked, not trusted: a key of the wrong arity,
+    /// or rows out of order or repeated, fail with [`Error::Internal`].
+    ///
+    /// [`Cube`]: spcube_cubealg::Cube
+    pub fn from_sorted<'a>(
+        d: usize,
+        mask: Mask,
+        rows: impl IntoIterator<Item = (&'a [Value], &'a AggOutput)>,
+    ) -> Result<Segment> {
+        let arity = mask.arity() as usize;
+        let mut keys: Vec<&[Value]> = Vec::new();
+        let mut values = Vec::new();
+        for (key, value) in rows {
+            if key.len() != arity {
+                return Err(Error::Internal(format!(
+                    "segment row arity mismatch for cuboid {mask}"
+                )));
+            }
+            if keys.last().is_some_and(|&prev| prev >= key) {
+                return Err(Error::Internal(format!(
+                    "cuboid {mask}: segment rows not strictly ascending at row {}",
+                    keys.len()
+                )));
+            }
+            keys.push(key);
+            values.push(value.clone());
+        }
+        let columns: Vec<Column> = (0..arity).map(|slot| Column::build(&keys, slot)).collect();
         let blocks = build_blocks(&columns, values.len(), DEFAULT_BLOCK_SIZE);
-        Segment {
+        Ok(Segment {
             d,
             mask,
             block_size: DEFAULT_BLOCK_SIZE,
             columns,
             values,
             blocks,
-        }
+        })
     }
 
     /// Total dimensions of the cube this segment belongs to.
@@ -589,6 +637,78 @@ mod tests {
         let mut padded = good.clone();
         padded.insert(padded.len() - 8, 0);
         assert!(Segment::decode(&padded).is_err());
+    }
+
+    /// Distinct rows of cuboid `0b101` sorted by key: an integer slot and
+    /// a string slot, and every tenth row a top-k aggregate.
+    fn mixed_rows(n: usize) -> Vec<(Box<[Value]>, AggOutput)> {
+        let mut rows: Vec<(Box<[Value]>, AggOutput)> = (0..n)
+            .map(|i| {
+                // (i mod 101, i mod 5) is distinct for i < 505.
+                let key = vec![
+                    Value::Int((i * 37 % 101) as i64 - 50),
+                    Value::str(["rome", "paris", "oslo", "bern", "kyiv"][i * 7 % 5]),
+                ];
+                let out = if i % 10 == 0 {
+                    AggOutput::TopK(vec![(i as f64, 3), (1.0, 1)])
+                } else {
+                    AggOutput::Number(i as f64 - 7.5)
+                };
+                (key.into_boxed_slice(), out)
+            })
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+
+    fn presorted(mask: Mask, rows: &[(Box<[Value]>, AggOutput)]) -> Result<Segment> {
+        Segment::from_sorted(3, mask, rows.iter().map(|(k, v)| (k.as_ref(), v)))
+    }
+
+    #[test]
+    fn from_sorted_encodes_exactly_what_build_does() {
+        let cuboids = [
+            (Mask(0b101), mixed_rows(300)),
+            (Mask::EMPTY, vec![(k(&[]), AggOutput::Number(7.0))]),
+            (Mask(0b010), Vec::new()),
+        ];
+        for (mask, rows) in cuboids {
+            let n = rows.len();
+            // 7919 is prime, so i -> 7919 i mod n permutes the rows.
+            let shuffled = (0..n).map(|i| rows[i * 7919 % n].clone()).collect();
+            let built = Segment::build(3, mask, shuffled).encode().expect("encode");
+            let seg = presorted(mask, &rows).expect("sorted rows");
+            assert_eq!(seg.encode().expect("encode"), built, "cuboid {mask}");
+        }
+    }
+
+    #[test]
+    fn from_sorted_rejects_unsorted_duplicate_and_misshapen_rows() {
+        let rows = mixed_rows(20);
+        let mut swapped = rows.clone();
+        swapped.swap(3, 4);
+        let mut repeated = rows.clone();
+        repeated.insert(5, rows[4].clone());
+        for (what, bad) in [("unsorted", swapped), ("duplicate", repeated)] {
+            let err = presorted(Mask(0b101), &bad).expect_err(what);
+            assert!(matches!(err, Error::Internal(_)), "{what}: {err}");
+            assert!(err.to_string().contains("not strictly ascending"), "{err}");
+        }
+        let err = presorted(Mask(0b111), &rows).expect_err("arity");
+        assert!(matches!(err, Error::Internal(_)), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn build_panics_on_a_repeated_key() {
+        Segment::build(
+            2,
+            Mask(0b01),
+            vec![
+                (k(&[1]), AggOutput::Number(1.0)),
+                (k(&[1]), AggOutput::Number(2.0)),
+            ],
+        );
     }
 
     #[test]

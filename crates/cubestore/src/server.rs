@@ -30,8 +30,8 @@ use std::thread::JoinHandle;
 
 use spcube_agg::AggOutput;
 use spcube_common::sync::{lock_or_recover, wait_or_recover};
-use spcube_common::{Group, Mask, Value};
-use spcube_cubealg::CubeRead;
+use spcube_common::{Error, Group, Mask, Value};
+use spcube_cubealg::{roll_up_cuboid, slice_slot, CubeRead};
 use spcube_obs::ctx as flightctx;
 use spcube_obs::{names, Clock, FlightName, FlightRec, ObsHandle, QueryCtx, SpanId, Stopwatch};
 
@@ -67,6 +67,18 @@ impl Request {
             Request::TopK { mask, .. } => *mask,
             Request::RollUp { group, dim } => group.mask.without(*dim),
             Request::CuboidLen { mask } => *mask,
+        }
+    }
+
+    /// A caller's mistake the request shows on its face — a slice or a
+    /// roll-up on a dimension its cuboid does not group — as the error
+    /// the read path gives for it. Workers check this before the fetch,
+    /// so a bad request never costs a cache access or evicts a segment.
+    fn misuse(&self) -> Option<Error> {
+        match self {
+            Request::Slice { mask, dim, .. } => slice_slot(*mask, *dim).err(),
+            Request::RollUp { group, dim } => roll_up_cuboid(group, *dim).err(),
+            Request::Point { .. } | Request::TopK { .. } | Request::CuboidLen { .. } => None,
         }
     }
 }
@@ -483,15 +495,21 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
         let t0 = Stopwatch::start();
         // Fetch the query's segment once — on a cache miss the blob fetch
         // and decode are the expensive, faultable step — and answer from
-        // it, so the query counts exactly one cache hit or miss. Check 3
-        // of 3 re-checks the budget between the fetch and the scan.
-        let exec = || match store.segment(req.cuboid()) {
-            Err(e) => Ok(Response::Failed(e.to_string())),
-            Ok(_) if deadline.is_some_and(|dl| shared.clock.now_us() >= dl.at_us) => {
-                note_deadline_miss(shared, store.obs(), "scan");
-                Err(ServeError::DeadlineExceeded)
+        // it, so the query counts exactly one cache hit or miss. A request
+        // that misuses a dimension fails before the fetch and counts none.
+        // Check 3 of 3 re-checks the budget between the fetch and the scan.
+        let exec = || {
+            if let Some(e) = req.misuse() {
+                return Ok(Response::Failed(e.to_string()));
             }
-            Ok(seg) => Ok(answer(seg.as_ref(), &req)),
+            match store.segment(req.cuboid()) {
+                Err(e) => Ok(Response::Failed(e.to_string())),
+                Ok(_) if deadline.is_some_and(|dl| shared.clock.now_us() >= dl.at_us) => {
+                    note_deadline_miss(shared, store.obs(), "scan");
+                    Err(ServeError::DeadlineExceeded)
+                }
+                Ok(seg) => Ok(answer(seg.as_ref(), &req)),
+            }
         };
         // The scope hands the flight context to the storage layer, which
         // sits behind `CubeRead` and cannot take a context parameter.
@@ -538,12 +556,16 @@ mod tests {
     use spcube_cubealg::naive_cube;
     use spcube_mapreduce::Dfs;
 
-    fn serving_store() -> Arc<CubeStore> {
+    fn store_rel() -> Relation {
         let mut rel = Relation::empty(Schema::synthetic(2));
         for (dims, m) in [([1i64, 1], 1.0), ([1, 2], 2.0), ([2, 1], 3.0)] {
             rel.push_row(dims.iter().map(|&v| Value::Int(v)).collect(), m);
         }
-        let cube = naive_cube(&rel, AggSpec::Sum);
+        rel
+    }
+
+    fn serving_store() -> Arc<CubeStore> {
+        let cube = naive_cube(&store_rel(), AggSpec::Sum);
         let dfs = Arc::new(Dfs::new());
         write_store(dfs.as_ref(), "s", &cube, 2, AggSpec::Sum, 1).expect("write");
         Arc::new(CubeStore::open(dfs, "s").expect("open"))
@@ -757,6 +779,34 @@ mod tests {
         assert_eq!(resp, Response::Len(2));
         let stats = store.stats();
         assert_eq!((stats.cache_misses, stats.cache_hits), (2, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_misused_dimension_fails_before_the_fetch() {
+        let store = serving_store();
+        let server = CubeServer::start(Arc::clone(&store), mock_config(1, 8));
+        let reference = naive_cube(&store_rel(), AggSpec::Sum);
+        let reference = spcube_cubealg::CubeQuery::new(&reference, 2);
+        let misused = [
+            Request::Slice {
+                mask: Mask(0b01),
+                dim: 1,
+                value: Value::Int(1),
+            },
+            Request::RollUp {
+                group: Group::new(Mask(0b01), vec![Value::Int(1)]),
+                dim: 1,
+            },
+        ];
+        for req in misused {
+            let resp = server.query(req.clone()).expect("typed failure");
+            assert!(matches!(resp, Response::Failed(_)), "{resp:?}");
+            // The same text the read path gives.
+            assert_eq!(resp, answer(&reference, &req));
+        }
+        let stats = store.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (0, 0));
         server.shutdown();
     }
 

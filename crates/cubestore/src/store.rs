@@ -1,8 +1,9 @@
 //! The persistent cube store: write path and query-ready read path.
 //!
-//! **Write path** — [`write_store`] takes a materialized [`Cube`], splits
-//! it into one columnar [`Segment`] per non-empty cuboid (the paper's
-//! one-file-per-cuboid layout, Section 3.1), and commits it under a fresh
+//! **Write path** — [`write_store`] takes a materialized [`Cube`] and
+//! encodes each of its non-empty cuboids, already sorted by key, as one
+//! columnar [`Segment`] (the paper's one-file-per-cuboid layout, Section
+//! 3.1) with no regrouping or re-sort, then commits them under a fresh
 //! **generation** through a [`BlobStore`]. The commit protocol is
 //! crash-atomic (see `DESIGN.md`, "Crash-consistent generational
 //! commits"): segments land under `prefix/gen-N/`, the generation is
@@ -37,7 +38,7 @@
 //! [`crate::scrub::Scrubber`]'s job.
 
 use std::cmp;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -93,7 +94,6 @@ pub fn write_store(
     spec: AggSpec,
     min_support: usize,
 ) -> Result<StoreWriteReport> {
-    type CuboidRows = Vec<(Box<[Value]>, AggOutput)>;
     // Next generation: one past anything ever written under the prefix,
     // sealed or not, so an aborted commit never gets its dirty directory
     // reused.
@@ -114,20 +114,14 @@ pub fn write_store(
         .max()
         .unwrap_or(0)
         + 1;
-    // BTreeMap so segments are written in ascending mask order — the
-    // output (blob sequence, manifest) is byte-identical across runs.
-    let mut by_mask: BTreeMap<Mask, CuboidRows> = BTreeMap::new();
-    for (g, v) in cube.iter() {
-        by_mask
-            .entry(g.mask)
-            .or_default()
-            .push((g.key.clone(), v.clone()));
-    }
-    let mut entries = Vec::with_capacity(by_mask.len());
+    // The cube's cuboids come in ascending mask order, each sorted by key,
+    // so the output (blob sequence, manifest) is byte-identical across
+    // runs and every segment is built from the cube's rows in place.
+    let mut entries = Vec::new();
     let mut total_bytes = 0u64;
     let mut total_rows = 0u64;
-    for (mask, rows) in by_mask {
-        let segment = Segment::build(d, mask, rows);
+    for (mask, rows) in cube.cuboids() {
+        let segment = Segment::from_sorted(d, mask, rows.iter().map(|(g, v)| (g.key.as_ref(), v)))?;
         let encoded = segment.encode()?;
         let path = segment_path(prefix, generation, d, mask);
         total_bytes += encoded.len() as u64;

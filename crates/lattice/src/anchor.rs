@@ -17,30 +17,24 @@
 //! the SP-Sketch alone, so the assignment needs no coordination. Skewness is
 //! abstracted as a closure over masks: for a fixed tuple (or group), the
 //! caller checks whether that tuple's projection at the mask is skewed.
+//!
+//! [`anchor_mask`] walks `h`'s subsets in BFS order and stops at the first
+//! non-skewed one. Skews are rare (a sketch holds a handful), so it
+//! usually asks the oracle once or twice, not `2^|h|` times.
 
 use spcube_common::Mask;
 
-use crate::bfs::bfs_key;
+use crate::bfs::bfs_subsets;
 
 /// The BFS-first non-skewed mask among `h`'s subsets (descendants-or-self),
 /// or `None` if every subset — including `h` itself — is skewed (then `h` is
 /// aggregated map-side and never assigned to a range reducer).
 ///
 /// `is_skewed(m)` must report whether the *projection of the group/tuple at
-/// mask `m`* is skewed.
+/// mask `m`* is skewed. It is asked about subsets in BFS order, up to and
+/// including the answer.
 pub fn anchor_mask(h: Mask, is_skewed: impl Fn(Mask) -> bool) -> Option<Mask> {
-    let mut best: Option<(u32, u32)> = None;
-    let mut best_mask = None;
-    for sub in h.subsets() {
-        if !is_skewed(sub) {
-            let key = bfs_key(sub);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-                best_mask = Some(sub);
-            }
-        }
-    }
-    best_mask
+    bfs_subsets(h).find(|&sub| !is_skewed(sub))
 }
 
 /// Whether `g` would become an anchor for a tuple whose skewness profile is
@@ -126,6 +120,19 @@ mod tests {
     #[test]
     fn all_skewed_returns_none() {
         assert!(anchor_mask(Mask(0b11), |_| true).is_none());
+    }
+
+    #[test]
+    fn anchor_mask_stops_at_the_answer() {
+        // A full 24-dimension group whose apex alone is skewed: the walk
+        // asks about the apex and the first singleton, nothing more.
+        let asked = std::cell::Cell::new(0);
+        let a = anchor_mask(Mask::full(Mask::MAX_DIMS), |m| {
+            asked.set(asked.get() + 1);
+            m == Mask::EMPTY
+        });
+        assert_eq!(a, Some(Mask(0b1)));
+        assert_eq!(asked.get(), 2);
     }
 
     #[test]

@@ -65,6 +65,67 @@ pub fn bfs_key(mask: Mask) -> (u32, u32) {
     (mask.arity(), mask.0)
 }
 
+/// The subsets of `mask` (descendants-or-self) in BFS order: ascending by
+/// [`bfs_key`]. Each subset is generated directly, so taking the first few
+/// costs only those few, whatever `mask`'s arity.
+pub(crate) fn bfs_subsets(mask: Mask) -> BfsSubsets {
+    BfsSubsets {
+        mask: mask.0,
+        arity: mask.arity(),
+        k: 0,
+        picks: 0,
+    }
+}
+
+/// Iterator behind [`bfs_subsets`]. A subset of arity `k` is held as
+/// `picks`, a `k`-bit selection over `mask`'s set bits (bit `i` picks the
+/// `i`-th lowest). Spreading the picks onto those bits keeps numeric
+/// order, so counting through the `k`-bit selections in ascending order
+/// visits the arity-`k` subsets in ascending mask order.
+#[derive(Debug, Clone)]
+pub(crate) struct BfsSubsets {
+    mask: u32,
+    arity: u32,
+    /// Arity of the next subset; past `arity` when exhausted.
+    k: u32,
+    picks: u64,
+}
+
+impl Iterator for BfsSubsets {
+    type Item = Mask;
+
+    fn next(&mut self) -> Option<Mask> {
+        if self.k > self.arity {
+            return None;
+        }
+        let mut sub = 0;
+        let mut rest = self.picks;
+        for dim in Mask(self.mask).dims() {
+            if rest & 1 == 1 {
+                sub |= 1 << dim;
+            }
+            rest >>= 1;
+        }
+        // The next larger selection with the same number of picks
+        // (Gosper's hack); the empty selection is the only one of arity 0.
+        let end = 1u64 << self.arity;
+        let low = self.picks & self.picks.wrapping_neg();
+        let next = if low == 0 {
+            end
+        } else {
+            let ripple = self.picks + low;
+            (((ripple ^ self.picks) >> 2) / low) | ripple
+        };
+        if next < end {
+            self.picks = next;
+        } else {
+            self.k += 1;
+            self.picks = (1u64 << self.k) - 1;
+        }
+        Some(Mask(sub))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +176,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bfs_subsets_are_the_sorted_subsets() {
+        for m in [0u32, 0b1, 0b1011, 0b1101_0110, 0xff_ffff, 0xffff_ffff] {
+            let mask = Mask(m);
+            let walked: Vec<Mask> = bfs_subsets(mask).take(5000).collect();
+            let mut expect: Vec<Mask> = if mask.arity() <= 12 {
+                mask.subsets().collect()
+            } else {
+                // Too many to list: the first three levels suffice.
+                let dims: Vec<usize> = mask.dims().collect();
+                let mut low = vec![Mask::EMPTY];
+                for (i, &a) in dims.iter().enumerate() {
+                    low.push(Mask::single(a));
+                    low.extend(dims[i + 1..].iter().map(|&b| Mask::single(a).with(b)));
+                }
+                low
+            };
+            expect.sort_by_key(|&s| bfs_key(s));
+            expect.truncate(walked.len());
+            assert_eq!(walked[..expect.len()], expect[..], "mask {m:#b}");
+        }
+        assert_eq!(bfs_subsets(Mask(0b1011)).count(), 8);
+        assert_eq!(bfs_subsets(Mask::EMPTY).collect::<Vec<_>>(), [Mask::EMPTY]);
     }
 
     #[test]

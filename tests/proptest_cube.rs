@@ -2,13 +2,16 @@
 //! algorithms agree with the sequential reference, and the core invariants
 //! of the lattice/anchor machinery hold.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 
-use sp_cube_repro::agg::AggSpec;
+use sp_cube_repro::agg::{AggOutput, AggSpec};
 use sp_cube_repro::baselines::{mr_cube, naive_mr_cube, MrCubeConfig};
 use sp_cube_repro::common::{Group, Mask, Relation, Schema, Tuple, Value};
 use sp_cube_repro::core::{build_exact_sketch, sp_cube};
-use sp_cube_repro::cubealg::{buc, naive_cube, pipesort, BucConfig};
+use sp_cube_repro::cubealg::{buc, naive_cube, pipesort, BucConfig, Cube};
 use sp_cube_repro::lattice::{anchor_mask, is_anchor};
 use sp_cube_repro::mapreduce::ClusterConfig;
 
@@ -27,8 +30,154 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
+type Pairs = Vec<(Group, AggOutput)>;
+
+/// Strategy: `(group, output)` pairs over `d <= 5` dimensions, each key
+/// slot an integer or a string, every fourth output a top-k list, plus a
+/// second set of raw pairs and per-pair edits for building a neighbour.
+/// Most of the `2^d` cuboids end up empty.
+fn arb_pairs() -> impl Strategy<Value = (usize, Pairs, Pairs, Vec<u32>)> {
+    (1usize..=5).prop_flat_map(|d| {
+        let pairs = || {
+            let pair = (
+                0u32..32,
+                proptest::collection::vec(0i64..6, 5),
+                0u32..4,
+                -4i64..4,
+            );
+            proptest::collection::vec(pair, 0..48)
+        };
+        let edits = proptest::collection::vec(0u32..4, 48);
+        (pairs(), pairs(), edits).prop_map(move |(a, b, edits)| {
+            let to_pair = |(m, raw, kind, x): (u32, Vec<i64>, u32, i64)| {
+                let mask = Mask(m & Mask::full(d).0);
+                let key = mask
+                    .dims()
+                    .map(|dim| match raw[dim] {
+                        v if v % 2 == 0 => Value::Int(v - 2),
+                        v => Value::str(format!("s{v}")),
+                    })
+                    .collect();
+                let out = if kind == 0 {
+                    AggOutput::TopK(vec![(x as f64, 2), (0.5, 1)])
+                } else {
+                    AggOutput::Number(x as f64)
+                };
+                (Group::new(mask, key), out)
+            };
+            let a = a.into_iter().map(to_pair).collect();
+            let b = b.into_iter().map(to_pair).collect();
+            (d, a, b, edits)
+        })
+    })
+}
+
+/// The first pair of each group, as the model cube.
+fn model_of(pairs: Pairs) -> BTreeMap<Group, AggOutput> {
+    let mut model = BTreeMap::new();
+    for (g, v) in pairs {
+        model.entry(g).or_insert(v);
+    }
+    model
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one cube constructor every algorithm goes through, against a
+    /// sorted map of groups: contents, cuboid views, iteration order,
+    /// `diff` and the duplicate check.
+    #[test]
+    fn cube_agrees_with_a_sorted_map_model(input in arb_pairs()) {
+        let (d, a, b, edits) = input;
+        let model = model_of(a);
+        // Reversed, so the constructor has sorting to do.
+        let cube = Cube::from_pairs(model.iter().rev().map(|(g, v)| (g.clone(), v.clone())));
+        prop_assert_eq!(cube.len(), model.len());
+        prop_assert_eq!(cube.is_empty(), model.is_empty());
+        let walked: Vec<(&Group, &AggOutput)> = cube.iter().collect();
+        let expect: Vec<(&Group, &AggOutput)> = model.iter().collect();
+        prop_assert_eq!(walked, expect, "iter() runs in (mask, key) order");
+        for mask in Mask::full(d).subsets() {
+            let rows: Vec<(Group, AggOutput)> = model
+                .iter()
+                .filter(|(g, _)| g.mask == mask)
+                .map(|(g, v)| (g.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(cube.cuboid_len(mask), rows.len());
+            prop_assert_eq!(cube.cuboid(mask), rows.as_slice(), "cuboid {}", mask);
+        }
+        let masks: Vec<Mask> = cube.cuboids().map(|(m, _)| m).collect();
+        let expect: Vec<Mask> = model.keys().map(|g| g.mask).collect::<BTreeSet<_>>().into_iter().collect();
+        prop_assert_eq!(masks, expect);
+        for (g, v) in model.iter() {
+            prop_assert_eq!(cube.get(g), Some(v));
+        }
+        for (g, _) in b.iter() {
+            prop_assert_eq!(cube.get(g), model.get(g));
+        }
+
+        // A neighbour: some groups dropped, some changed, some added.
+        let mut other = BTreeMap::new();
+        for ((g, v), edit) in model.iter().zip(edits.iter().cycle()) {
+            match (edit, v) {
+                (0, _) => {}
+                (1, AggOutput::Number(x)) => drop(other.insert(g.clone(), AggOutput::Number(x + 1.0))),
+                (1, AggOutput::TopK(_)) => drop(other.insert(g.clone(), AggOutput::TopK(Vec::new()))),
+                _ => drop(other.insert(g.clone(), v.clone())),
+            }
+        }
+        for (g, v) in model_of(b) {
+            if !model.contains_key(&g) {
+                other.insert(g, v);
+            }
+        }
+        let other_cube = Cube::from_pairs(other.clone());
+        let groups: BTreeSet<&Group> = model.keys().chain(other.keys()).collect();
+        let expect: Vec<String> = groups
+            .into_iter()
+            .filter_map(|g| match (model.get(g), other.get(g)) {
+                (Some(v), None) => Some(format!("missing in other: {g} = {v}")),
+                (None, Some(_)) => Some(format!("extra in other: {g}")),
+                (Some(v), Some(w)) if !v.approx_eq(w, 1e-9) => Some(format!("differs: {g}: {v} vs {w}")),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(&cube.diff(&other_cube, 1e-9, usize::MAX), &expect);
+        prop_assert_eq!(cube.approx_eq(&other_cube, 1e-9), expect.is_empty());
+        for cap in 1..=expect.len() {
+            prop_assert_eq!(&cube.diff(&other_cube, 1e-9, cap)[..], &expect[..cap]);
+        }
+
+        // Any group given twice is refused, wherever the copies land.
+        if let Some((g, v)) = model.iter().nth(edits[0] as usize % model.len().max(1)) {
+            let mut twice: Pairs = model.clone().into_iter().collect();
+            twice.push((g.clone(), v.clone()));
+            let refused = catch_unwind(AssertUnwindSafe(|| Cube::from_pairs(twice)));
+            let message = refused.err().and_then(|p| p.downcast::<String>().ok());
+            prop_assert!(
+                message.is_some_and(|m| m.contains("c-group emitted twice")),
+                "a duplicate of {} must panic",
+                g
+            );
+        }
+    }
+
+    /// The early-exit BFS walk picks what a scan of every subset picks:
+    /// the smallest `(arity, mask)` among the non-skewed subsets.
+    #[test]
+    fn anchor_mask_equals_the_full_scan(
+        h in 0u32..256,
+        rolls in proptest::collection::vec(0u32..100, 256),
+        density in 0u32..=100,
+    ) {
+        let oracle = |m: Mask| rolls[m.0 as usize] < density;
+        let scanned = Mask(h)
+            .subsets()
+            .filter(|&sub| !oracle(sub))
+            .min_by_key(|&sub| (sub.arity(), sub.0));
+        prop_assert_eq!(anchor_mask(Mask(h), oracle), scanned);
+    }
 
     #[test]
     fn buc_equals_naive(rel in arb_relation()) {
