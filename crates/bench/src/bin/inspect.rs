@@ -65,6 +65,8 @@
 //! edge with the source line that creates it, and the acyclicity
 //! verdict. `--dot` emits Graphviz instead of text; a lock-order cycle
 //! exits non-zero.
+// Output path: nothing here may iterate in hash order (DESIGN.md §8).
+#![warn(clippy::disallowed_types)]
 
 use std::collections::BTreeMap;
 
@@ -316,7 +318,7 @@ fn inspect_trace(args: &[String]) {
 /// The `flight` view: render the slowest persisted flight traces with
 /// per-phase self-times, and the full span tree of the slowest one.
 fn inspect_flight(args: &[String]) {
-    use spcube_obs::{names, SpanTree};
+    use spcube_obs::{names, Name, SpanTree};
 
     let Some(path) = args.get(1) else {
         eprintln!("flight: need a trace JSONL path");
@@ -400,7 +402,7 @@ fn inspect_flight(args: &[String]) {
             }
             std::process::exit(1);
         }
-        let phase = |name: &str| -> u64 {
+        let phase = |name: Name| -> u64 {
             tree.spans_named(name)
                 .iter()
                 .map(|s| s.end_us.unwrap_or(s.start_us).saturating_sub(s.start_us))

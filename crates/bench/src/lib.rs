@@ -3,9 +3,9 @@
 //! The `figures` binary drives one [`experiments`] entry per paper figure;
 //! each produces the same series the figure plots (running time, average
 //! map/reduce time, map-output size, SP-Sketch size), prints them as
-//! tables, and writes CSV rows under `bench_results/`. Criterion
-//! micro-benchmarks in `benches/` cover single data points and the
-//! component costs (BUC, sketch build, engine shuffle, lattice walks).
+//! tables, and writes CSV rows under `bench_results/`. Wall-clock timings
+//! of the build and serving layers live in the separate `cubebench`
+//! workspace.
 //!
 //! Scaling: experiments run the real algorithms end-to-end on inputs scaled
 //! down from the paper's (millions instead of hundreds of millions of

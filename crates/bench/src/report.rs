@@ -1,4 +1,6 @@
 //! Tables and CSV output for the experiment harness.
+// Output path: nothing here may iterate in hash order (DESIGN.md §8).
+#![warn(clippy::disallowed_types)]
 
 use std::io::Write;
 use std::path::Path;

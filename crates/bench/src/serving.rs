@@ -13,6 +13,8 @@
 //! exactly what the benchmark is measuring. Latency percentiles come from
 //! one shared lock-free [`Histogram`] all clients record into — no
 //! per-client sample `Vec`s to collect and sort.
+// Output path: nothing here may iterate in hash order (DESIGN.md §8).
+#![warn(clippy::disallowed_types)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -127,7 +129,8 @@ pub struct ServingReport {
     /// Segments served via the degraded BUC-recompute path.
     pub degraded_recomputes: u64,
     /// Queries that ended in a typed non-answer (`Response::Failed`
-    /// after exhausted retries, or a blown deadline).
+    /// after exhausted retries, a blown deadline, or a refused bad
+    /// request).
     pub typed_errors: u64,
     /// Requests the server refused or shed for a blown deadline.
     pub deadline_misses: u64,
@@ -168,8 +171,9 @@ pub fn to_request(spec: &QuerySpec) -> Request {
 /// Run `workload` against `store` through a fresh [`CubeServer`] wrapped
 /// in a [`ResilientClient`], and measure throughput, latency percentiles,
 /// cache behaviour, and resilience counters. Queries that come back
-/// `Failed` or miss their deadline are counted as typed errors — under a
-/// fault-injecting store that is expected traffic, not a harness bug.
+/// `Failed`, miss their deadline or are refused as bad requests are
+/// counted as typed errors — under a fault-injecting store that is
+/// expected traffic, not a harness bug.
 pub fn run_serving(
     store: Arc<CubeStore>,
     workload: &[QuerySpec],
@@ -245,7 +249,9 @@ pub fn run_serving(
                             retries.fetch_add(1, Ordering::Relaxed);
                             std::thread::yield_now();
                         }
-                        Err(ServeError::DeadlineExceeded) => break (None, prof),
+                        Err(ServeError::DeadlineExceeded | ServeError::BadRequest(_)) => {
+                            break (None, prof)
+                        }
                         Err(ServeError::ShuttingDown) => {
                             panic!("server shut down mid-benchmark")
                         }

@@ -13,6 +13,8 @@
 //! declared element count is validated against the bytes actually left,
 //! and failures surface as [`Error::Corrupt`] — never a panic — so a
 //! serving path handed arbitrary bytes can degrade instead of crash.
+// Codec: no silently narrowing cast, no untyped error (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::disallowed_types)]
 
 use crate::error::{Error, Result};
 use crate::value::Value;

@@ -1,7 +1,7 @@
 //! Panic-free synchronization helpers for serving paths.
 //!
 //! `Mutex::lock` only fails when another thread panicked while holding the
-//! lock. For the serving paths guarded by `spcheck` rule R1, propagating
+//! lock. For the panic-free serving paths (DESIGN.md §8), propagating
 //! that poison as a second panic turns one failed worker into a process
 //! crash. The protected state in this workspace (DFS blobs, segment
 //! caches, task-slot tables) is updated atomically — a poisoned guard

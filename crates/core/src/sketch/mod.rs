@@ -109,7 +109,12 @@ impl SpSketch {
     pub fn serialized_bytes(&self) -> u64 {
         self.to_bytes().map_or(0, |b| b.len() as u64)
     }
+}
 
+// The SPSK1 codec: no silently narrowing cast, no untyped error
+// (DESIGN.md §8). Scoped to these two items; `build` may narrow a float.
+#[warn(clippy::cast_possible_truncation, clippy::disallowed_types)]
+impl SpSketch {
     /// Serialize for DFS distribution (see the wire format in the module
     /// docs). Deterministic: equal sketches produce equal bytes. Fails
     /// only when a collection exceeds the format's 32-bit length fields.
@@ -193,7 +198,9 @@ impl SpSketch {
         }
         Ok(SpSketch { d, k, nodes })
     }
+}
 
+impl SpSketch {
     /// Check the semantic invariants every correctly-built sketch holds:
     ///
     /// 1. each cuboid's partition elements are sorted ascending (otherwise

@@ -1,7 +1,5 @@
 //! The cube-round MapReduce job (Algorithm 3).
 
-use std::collections::HashMap;
-
 use spcube_agg::{AggOutput, AggSpec, AggState};
 use spcube_common::{Group, Mask, Tuple};
 use spcube_cubealg::{buc_from, BucConfig};
@@ -92,8 +90,11 @@ impl MrJob for SpCubeJob<'_> {
         // by the group (Section 5: "maintaining a hash table in which items
         // correspond to the skewed c-groups"). Proposition 4.7 bounds its
         // size by O(2^d · k) = O(m).
-        // spcheck:allow(determinism): iteration is sorted before emission (flush below)
-        let mut partials: HashMap<Group, (AggState, u64)> = HashMap::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "iteration is sorted before emission (flush below)"
+        )]
+        let mut partials = std::collections::HashMap::<Group, (AggState, u64)>::new();
 
         for t in split {
             let mut lat = TupleLattice::new(t, &self.bfs);
@@ -171,7 +172,10 @@ impl MrJob for SpCubeJob<'_> {
                         state.merge(p);
                         tuples += count;
                     }
-                    // spcheck:allow(no_panic): shuffle-protocol invariant, a code bug not corrupt data
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "shuffle-protocol invariant, a code bug not corrupt data"
+                    )]
                     SpValue::Row(_) => unreachable!("skewed group received a raw tuple"),
                 }
             }
@@ -191,7 +195,10 @@ impl MrJob for SpCubeJob<'_> {
             for v in &values {
                 match v {
                     SpValue::Row(t) => state.update(t.measure),
-                    // spcheck:allow(no_panic): shuffle-protocol invariant, a code bug not corrupt data
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "shuffle-protocol invariant, a code bug not corrupt data"
+                    )]
                     SpValue::Partial(..) => unreachable!("non-skewed group received a partial"),
                 }
             }
@@ -208,7 +215,10 @@ impl MrJob for SpCubeJob<'_> {
             .into_iter()
             .map(|v| match v {
                 SpValue::Row(t) => t,
-                // spcheck:allow(no_panic): shuffle-protocol invariant, a code bug not corrupt data
+                #[expect(
+                    clippy::unreachable,
+                    reason = "shuffle-protocol invariant, a code bug not corrupt data"
+                )]
                 SpValue::Partial(..) => unreachable!("non-skewed group received a partial"),
             })
             .collect();
@@ -289,7 +299,10 @@ impl DegradedCubeJob {
                     state.merge(p);
                     tuples += count;
                 }
-                // spcheck:allow(no_panic): shuffle-protocol invariant, a code bug not corrupt data
+                #[expect(
+                    clippy::unreachable,
+                    reason = "shuffle-protocol invariant, a code bug not corrupt data"
+                )]
                 SpValue::Row(_) => unreachable!("degraded cube round ships only partials"),
             }
         }

@@ -12,6 +12,18 @@
 //!    reducer-side). Reducer 0 merges the skew partials; every other
 //!    reducer runs BUC over each anchor group it receives and keeps
 //!    exactly the ancestors assigned to that anchor.
+// Serving and output path (this module and `job`): no panic source
+// outside tests, and no hash order in emitted output (DESIGN.md §8).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_types
+)]
 
 mod job;
 

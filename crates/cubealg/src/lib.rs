@@ -9,9 +9,6 @@
 //!   to compute a non-skewed anchor group together with its ancestors
 //!   (Algorithm 3, line 30). Emits into a caller-supplied closure so
 //!   reducers can filter emissions (the anchor-assignment check).
-//! * [`pipesort()`](pipesort::pipesort) — the top-down pipelined alternative (Agarwal et al.,
-//!   cited as \[12\]): an optimal symmetric-chain cover of the lattice, one
-//!   sort + one scan per pipeline.
 //! * [`naive_cube`] — a hash-based full-enumeration reference (`O(n·2^d)`),
 //!   the ground truth every other algorithm in this workspace is tested
 //!   against.
@@ -24,29 +21,19 @@
 //!   export;
 //! * [`CubeRead`] — the storage-backed query trait: the same OLAP moves
 //!   answered by any backend (this in-memory index, or the persistent
-//!   columnar store in `spcube-cubestore`);
-//! * [`greedy_select`] — HRU partial-materialization view selection
-//!   (cited as \[24\]).
-// Serving-path crate: panic-free outside tests (see DESIGN.md and the
-// spcheck gate). Clippy enforces the unwrap ban; spcheck covers the rest.
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
-// Concurrency discipline (PR 8): no mutex-wrapped scalars that should be
-// atomics, and no lock guards living inside match/if-let scrutinees.
-#![warn(clippy::mutex_atomic)]
-#![warn(clippy::significant_drop_in_scrutinee)]
+//!   columnar store in `spcube-cubestore`).
+// No `unwrap` outside tests; the serving modules arm the full panic set
+// (DESIGN.md §8).
+#![warn(clippy::unwrap_used)]
 
 pub mod buc;
 pub mod cube;
 pub mod naive;
-pub mod pipesort;
 pub mod query;
 pub mod read;
-pub mod views;
 
 pub use buc::{buc, buc_from, BucConfig};
 pub use cube::{Cube, CubeBuilder};
 pub use naive::naive_cube;
-pub use pipesort::{pipesort, plan_pipelines, Pipeline};
 pub use query::CubeQuery;
 pub use read::{roll_up_cuboid, slice_slot, CubeRead};
-pub use views::{best_ancestor, cuboid_sizes, greedy_select, CuboidSizes, ViewSelection};

@@ -14,6 +14,16 @@
 //! slicing on an ungrouped dimension, drilling down on an already-grouped
 //! dimension, or rolling up on an ungrouped dimension are errors — not
 //! empty results — on every implementation.
+// Serving path: no panic source outside tests (DESIGN.md §8).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use spcube_agg::AggOutput;
 use spcube_common::{Error, Group, Mask, Result, Value};

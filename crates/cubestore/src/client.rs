@@ -9,8 +9,11 @@
 //!   fault) is retried up to [`ClientConfig::max_attempts`] times with
 //!   the shared [`Backoff`] schedule from `spcube_common::retry`,
 //!   deterministically jittered. Typed refusals (overload, shutdown,
-//!   deadline) are returned immediately — retrying an overloaded server
-//!   amplifies the overload, and a blown deadline is already final.
+//!   deadline, bad request) are returned immediately — retrying an
+//!   overloaded server amplifies the overload, a blown deadline is
+//!   already final, and a caller's mistake fails the same way every time
+//!   and says nothing about the cuboid's storage, so it never counts
+//!   toward a breaker.
 //! * **Hedging** — after a p99-derived delay (from the server's live
 //!   [`names::SERVE_QUERY_US`] histogram, clamped to a fixed band), a
 //!   second copy of a slow request is submitted and whichever answer
@@ -736,6 +739,35 @@ mod tests {
     }
 
     #[test]
+    fn a_callers_mistake_is_refused_once_and_spares_the_breaker() {
+        let server = faulty_server(FaultSchedule::default(), 4);
+        let client = ResilientClient::new(server, ClientConfig::default()).expect("client");
+        // Dimension 1 is not grouped in cuboid m1.
+        let misused = Request::Slice {
+            mask: Mask(0b01),
+            dim: 1,
+            value: Value::Int(1),
+        };
+        let err = client.query(misused, None).expect_err("typed refusal");
+        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        let stats = client.stats();
+        assert_eq!(
+            (stats.attempts, stats.retries, stats.breaker_opens),
+            (1, 0, 0),
+            "a caller's mistake is neither retried nor blamed on the cuboid"
+        );
+        // m1 stays healthy: the next valid query on it answers.
+        let resp = client.query(point_req(), None).expect("query");
+        assert_eq!(resp, Response::Value(Some(AggOutput::Number(3.0))));
+        // A cuboid outside the 2-d store is refused the same way.
+        let err = client
+            .query(Request::CuboidLen { mask: Mask(0b100) }, None)
+            .expect_err("typed refusal");
+        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        assert_eq!(client.stats().breaker_opens, 0);
+    }
+
+    #[test]
     fn hedged_attempt_wins_when_the_primary_wedges() {
         use std::sync::Mutex as StdMutex;
 
@@ -939,7 +971,10 @@ mod tests {
             names::SERVE_PHASE_ERROR,
             names::STORE_FAULT_INJECTED,
         ] {
-            assert!(jsonl.contains(needle), "persisted trace missing {needle}");
+            assert!(
+                jsonl.contains(needle.as_str()),
+                "persisted trace missing {needle}"
+            );
         }
         assert_eq!(
             obs.counter_value(names::STORE_FLIGHT_KEPT, &[]),

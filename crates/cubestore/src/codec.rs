@@ -9,6 +9,8 @@
 //! persists. All decoding is panic-free: arbitrary corrupt bytes come
 //! back as [`Error::Corrupt`](spcube_common::Error::Corrupt), never a
 //! crash, so the recover path can kick in.
+// Codec: no silently narrowing cast, no untyped error (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::disallowed_types)]
 
 use spcube_agg::{AggOutput, AggSpec, AggState};
 use spcube_common::Result;

@@ -42,6 +42,8 @@
 //! not quietly absorb injected faults — they surface as typed errors for
 //! the retry/hedging/breaker layers above (reads) and the
 //! [`crate::delta::IngestSession`] retry loop (writes) to handle.
+// Output path: nothing here may iterate in hash order (DESIGN.md §8).
+#![warn(clippy::disallowed_types)]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

@@ -62,6 +62,8 @@
 //! per entry: u32 mask | u32 rows | u64 bytes | u32 path_len | path bytes
 //! u64 XXH64 checksum of everything above
 //! ```
+// Codec: no silently narrowing cast, no untyped error (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::disallowed_types)]
 
 use spcube_agg::AggSpec;
 use spcube_common::{Error, Mask, Result};

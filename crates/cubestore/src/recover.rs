@@ -219,7 +219,7 @@ fn partition(
     };
     // `get` rather than indexing: a tuple narrower than the mask cannot
     // happen for a well-formed relation, but must not crash the serving
-    // path either (spcheck R1) — such tuples just sort together.
+    // path either (DESIGN.md §8) — such tuples just sort together.
     tuples.sort_unstable_by(|a, b| a.dims.get(dim).cmp(&b.dims.get(dim)));
     for run in tuples.chunk_by_mut(|a, b| a.dims.get(dim) == b.dims.get(dim)) {
         if run.len() >= min_support {

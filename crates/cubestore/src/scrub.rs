@@ -44,6 +44,9 @@
 //! unchosen generation, aborted-commit debris) is the recovery scan's
 //! domain: [`crate::store::CubeStore::open`] quarantines orphans and
 //! repairs torn roots.
+// Codec and output path: no silently narrowing cast, no untyped error,
+// no hash order in reported output (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::disallowed_types)]
 
 use std::collections::BTreeMap;
 
@@ -311,7 +314,10 @@ impl Scrubber {
     /// Record a corrupt blob: bump counters, emit obs, copy the bytes to
     /// quarantine on a repairing pass (best effort — the bytes may be
     /// gone).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one finding's full context: where the blob lives, what it holds, and the report it lands in"
+    )]
     fn found(
         &self,
         blobs: &dyn BlobStore,

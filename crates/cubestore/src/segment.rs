@@ -46,6 +46,13 @@
 //! invariants (sorted dictionaries, in-range codes, zone maps equal to
 //! each block's code ranges, sorted rows), so a corrupt or hand-forged
 //! blob is rejected rather than served.
+// Codec: no silently narrowing cast, no untyped error (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::disallowed_types)]
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "the columnar layout: the builder asserts, and the row accessors index columns whose lengths decode has checked; the query kernels over it live in store.rs"
+)]
 
 use std::cmp::Ordering;
 
@@ -93,8 +100,12 @@ impl Column {
         let mut code = 0;
         for (v, row) in order {
             if dict.last() != Some(v) {
-                // spcheck:allow(error_hygiene): encode-side cast; dict len <= row count, which put_len caps at u32::MAX at write time
-                code = dict.len() as u32;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "encode-side cast; dict len <= row count, which put_len caps at u32::MAX at write time"
+                )]
+                let next = dict.len() as u32;
+                code = next;
                 dict.push(v.clone());
             }
             codes[row] = code;

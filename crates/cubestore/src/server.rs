@@ -70,12 +70,31 @@ impl Request {
         }
     }
 
-    /// A caller's mistake the request shows on its face — a slice or a
-    /// roll-up on a dimension its cuboid does not group — as the error
-    /// the read path gives for it. Workers check this before the fetch,
-    /// so a bad request never costs a cache access or evicts a segment.
-    fn misuse(&self) -> Option<Error> {
+    /// A caller's mistake the request shows on its face, as the error
+    /// the read path gives for it: a cuboid outside the store's `dims`
+    /// dimensions, a point key whose arity is not its cuboid's, or a
+    /// slice or roll-up on a dimension its cuboid does not group. Workers
+    /// check this before the fetch, so a bad request never costs a cache
+    /// access or evicts a segment; it comes back as the typed
+    /// [`ServeError::BadRequest`], which no client retries.
+    fn misuse(&self, dims: usize) -> Option<Error> {
+        let mask = match self {
+            Request::RollUp { group, .. } => group.mask,
+            _ => self.cuboid(),
+        };
+        if !mask.is_subset_of(Mask::full(dims)) {
+            return Some(Error::Config(format!(
+                "cuboid {mask} is outside the store's {dims} dimensions"
+            )));
+        }
         match self {
+            Request::Point { mask, key } if key.len() != mask.arity() as usize => {
+                Some(Error::Config(format!(
+                    "point key has {} values but cuboid {mask} groups {}",
+                    key.len(),
+                    mask.arity()
+                )))
+            }
             Request::Slice { mask, dim, .. } => slice_slot(*mask, *dim).err(),
             Request::RollUp { group, dim } => roll_up_cuboid(group, *dim).err(),
             Request::Point { .. } | Request::TopK { .. } | Request::CuboidLen { .. } => None,
@@ -96,8 +115,11 @@ pub enum Response {
     Ranked(Vec<(Group, f64)>),
     /// Cuboid size.
     Len(usize),
-    /// The query itself failed (e.g. slice on an ungrouped dimension, or
-    /// a corrupt segment with no recovery relation attached).
+    /// The query itself failed: a storage fault the store could not
+    /// recover from (e.g. a corrupt segment with no recovery relation
+    /// attached), or, from [`answer`] over an in-memory cube, a caller's
+    /// mistake. The server refuses the latter up front with
+    /// [`ServeError::BadRequest`].
     Failed(String),
 }
 
@@ -121,6 +143,10 @@ pub enum ServeError {
     ShuttingDown,
     /// The request's deadline passed before an answer was produced.
     DeadlineExceeded,
+    /// The request is a caller's mistake (a cuboid outside the store, a
+    /// point key of the wrong arity, a dimension its cuboid does not
+    /// group): retrying it cannot help, and no storage failed.
+    BadRequest(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -131,6 +157,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
+            ServeError::BadRequest(msg) => f.write_str(msg),
         }
     }
 }
@@ -495,12 +522,12 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
         let t0 = Stopwatch::start();
         // Fetch the query's segment once — on a cache miss the blob fetch
         // and decode are the expensive, faultable step — and answer from
-        // it, so the query counts exactly one cache hit or miss. A request
-        // that misuses a dimension fails before the fetch and counts none.
+        // it, so the query counts exactly one cache hit or miss. A
+        // misused request is refused before the fetch and counts none.
         // Check 3 of 3 re-checks the budget between the fetch and the scan.
         let exec = || {
-            if let Some(e) = req.misuse() {
-                return Ok(Response::Failed(e.to_string()));
+            if let Some(e) = req.misuse(store.dims()) {
+                return Err(ServeError::BadRequest(e.to_string()));
             }
             match store.segment(req.cuboid()) {
                 Err(e) => Ok(Response::Failed(e.to_string())),
@@ -714,15 +741,15 @@ mod tests {
     #[test]
     fn bad_queries_fail_typed_not_crash() {
         let server = CubeServer::start(serving_store(), ServerConfig::default());
-        // Slice on an ungrouped dimension is a query error, not a panic.
-        let resp = server
+        // Slice on an ungrouped dimension is a typed refusal, not a panic.
+        let err = server
             .query(Request::Slice {
                 mask: Mask(0b01),
                 dim: 1,
                 value: Value::Int(1),
             })
-            .expect("typed failure");
-        assert!(matches!(resp, Response::Failed(_)));
+            .expect_err("typed refusal");
+        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
         server.shutdown();
     }
 
@@ -800,14 +827,75 @@ mod tests {
             },
         ];
         for req in misused {
-            let resp = server.query(req.clone()).expect("typed failure");
-            assert!(matches!(resp, Response::Failed(_)), "{resp:?}");
+            let err = server.query(req.clone()).expect_err("typed refusal");
             // The same text the read path gives.
-            assert_eq!(resp, answer(&reference, &req));
+            let Response::Failed(msg) = answer(&reference, &req) else {
+                panic!("the read path accepts {req:?}");
+            };
+            assert_eq!(err, ServeError::BadRequest(msg));
         }
         let stats = store.stats();
         assert_eq!((stats.cache_misses, stats.cache_hits), (0, 0));
         server.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_cuboids_and_wrong_arity_keys_are_refused_typed() {
+        // A 2-d store: masks with bit 2 or 3 set name no cuboid of it.
+        let store = serving_store();
+        let server = CubeServer::start(Arc::clone(&store), mock_config(1, 8));
+        let one = || vec![Value::Int(1)];
+        let refused = [
+            Request::CuboidLen { mask: Mask(0b100) },
+            Request::Point {
+                mask: Mask(0b1000),
+                key: vec![],
+            },
+            Request::TopK {
+                mask: Mask(0b1000),
+                n: 3,
+            },
+            Request::Slice {
+                mask: Mask(0b101),
+                dim: 0,
+                value: Value::Int(1),
+            },
+            Request::RollUp {
+                group: Group::new(Mask(0b101), vec![Value::Int(1), Value::Int(1)]),
+                dim: 2,
+            },
+            Request::Point {
+                mask: Mask(0b11),
+                key: one(),
+            },
+            Request::Point {
+                mask: Mask(0b01),
+                key: vec![Value::Int(1), Value::Int(2)],
+            },
+        ];
+        for req in refused {
+            let err = server.query(req.clone()).expect_err("typed refusal");
+            assert!(matches!(err, ServeError::BadRequest(_)), "{req:?}: {err:?}");
+        }
+        assert_eq!(
+            server.query(Request::CuboidLen { mask: Mask(0b100) }),
+            Err(ServeError::BadRequest(
+                "configuration error: cuboid m100 is outside the store's 2 dimensions".into()
+            ))
+        );
+        assert_eq!(
+            server.query(Request::Point {
+                mask: Mask(0b11),
+                key: one(),
+            }),
+            Err(ServeError::BadRequest(
+                "configuration error: point key has 1 values but cuboid m11 groups 2".into()
+            ))
+        );
+        // Refused before the fetch: no cache access, nothing served.
+        let stats = store.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (0, 0));
+        assert_eq!(server.shutdown().served, 0);
     }
 
     #[test]

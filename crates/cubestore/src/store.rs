@@ -36,6 +36,8 @@
 //! recovery relation the error propagates. The store never rewrites a
 //! blob on the read path: repairing the damage is the
 //! [`crate::scrub::Scrubber`]'s job.
+// Output path: nothing here may iterate in hash order (DESIGN.md §8).
+#![warn(clippy::disallowed_types)]
 
 use std::cmp;
 use std::collections::BinaryHeap;

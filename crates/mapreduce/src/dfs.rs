@@ -13,6 +13,16 @@
 //! scheduled to flip on the next write to a path
 //! ([`Dfs::corrupt_next_write`]), modelling disk bit-rot the reader must
 //! detect by checksum.
+// Serving path: no panic source outside tests (DESIGN.md §8).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;

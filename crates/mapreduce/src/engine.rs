@@ -8,6 +8,18 @@
 //! map closure on a surviving machine and ships the regenerated output,
 //! so exactly-once semantics under recovery are exercised for real, not
 //! just charged to the cost model.
+// Serving and output path: no panic source outside tests, and no hash
+// order in reported output (DESIGN.md §8).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_types
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -481,7 +493,7 @@ fn run_map_task<J: MrJob>(
     // Hadoop's combiner running over the task's (sorted) spill output.
     let combined: Vec<(J::Key, J::Value)> = if job.has_combiner() {
         // BTreeMap: combined records leave the task in sorted key order,
-        // independent of hasher state (spcheck rule R3).
+        // independent of hasher state (DESIGN.md §8).
         let mut by_key: BTreeMap<J::Key, Vec<J::Value>> = BTreeMap::new();
         for (key, value) in buffer {
             by_key.entry(key).or_default().push(value);

@@ -1,10 +1,10 @@
 //! The workspace's single wall-clock source, plus the deterministic mock.
 //!
 //! Every module that measures host time does so through a [`Stopwatch`],
-//! so determinism audits (spcheck rule R3) have exactly one site where
-//! `Instant::now` is read. Wall-clock readings never feed persisted bytes
-//! or partitioning decisions — only reporting fields and trace
-//! timestamps. The [`Clock`] behind a tracer can be swapped for a
+//! so `clippy.toml`'s `disallowed-methods` list has exactly one exempt
+//! site where `Instant::now` is read. Wall-clock readings never feed
+//! persisted bytes or partitioning decisions — only reporting fields and
+//! trace timestamps. The [`Clock`] behind a tracer can be swapped for a
 //! [`Clock::mock`] that advances a fixed step per reading, which makes
 //! trace output byte-identical across runs.
 
@@ -20,6 +20,10 @@ pub struct Stopwatch(std::time::Instant);
 
 impl Stopwatch {
     /// Start measuring now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's single wall-clock read; readings feed reports and trace timestamps only"
+    )]
     pub fn start() -> Stopwatch {
         Stopwatch(std::time::Instant::now())
     }

@@ -3,8 +3,9 @@
 //! Zero external dependencies, deterministic by construction:
 //!
 //! * [`Registry`] — typed counters, gauges, and log-bucketed histograms,
-//!   addressable by `&'static str` name + label set ([`names`] holds the
-//!   contract: lowercase dotted idents, registered once).
+//!   addressable by [`Name`] + label set ([`names`] holds the contract:
+//!   lowercase dotted idents, registered once, and no other way to make
+//!   a [`Name`]).
 //! * [`Tracer`] — spans and events with parent links, timestamped by the
 //!   workspace's single clock ([`Stopwatch`], or the deterministic
 //!   [`Clock::mock`] that makes trace bytes reproducible), exported as
@@ -21,11 +22,18 @@
 //! [`Clock::mock`] two identical runs therefore serialize byte-identical
 //! traces.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
-// Concurrency discipline (PR 8): no mutex-wrapped scalars that should be
-// atomics, and no lock guards living inside match/if-let scrutinees.
-#![warn(clippy::mutex_atomic)]
-#![warn(clippy::significant_drop_in_scrutinee)]
+// Serving and output path: no panic source outside tests, and no hash
+// order in any exported trace or snapshot (DESIGN.md §8).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_types
+)]
 
 pub mod clock;
 pub mod ctx;
@@ -42,6 +50,7 @@ use std::sync::Arc;
 pub use clock::{Clock, Stopwatch, MOCK_STEP_US};
 pub use ctx::{PhaseAcc, PhaseBreakdown, QueryCtx};
 pub use hist::{Exemplar, Histogram};
+pub use names::Name;
 pub use registry::{Counter, Gauge, Registry};
 pub use ring::{FlightKind, FlightLabel, FlightName, FlightRec, FlightRecorder, Ring};
 pub use sampler::TailSampler;
@@ -109,7 +118,7 @@ impl ObsHandle {
     }
 
     /// Open a span (no-op returning [`SpanId::ROOT`] when disabled).
-    pub fn span(&self, name: &'static str, parent: SpanId, labels: &[(&str, String)]) -> SpanId {
+    pub fn span(&self, name: Name, parent: SpanId, labels: &[(&str, String)]) -> SpanId {
         match &self.0 {
             Some(obs) => obs.tracer.span(name, parent, labels),
             None => SpanId::ROOT,
@@ -124,33 +133,33 @@ impl ObsHandle {
     }
 
     /// Record an instantaneous event.
-    pub fn event(&self, name: &'static str, parent: SpanId, labels: &[(&str, String)]) {
+    pub fn event(&self, name: Name, parent: SpanId, labels: &[(&str, String)]) {
         if let Some(obs) = &self.0 {
             obs.tracer.event(name, parent, labels);
         }
     }
 
     /// Add 1 to a counter.
-    pub fn inc(&self, name: &'static str, labels: &[(&str, String)]) {
+    pub fn inc(&self, name: Name, labels: &[(&str, String)]) {
         self.add(name, labels, 1);
     }
 
     /// Add `n` to a counter.
-    pub fn add(&self, name: &'static str, labels: &[(&str, String)], n: u64) {
+    pub fn add(&self, name: Name, labels: &[(&str, String)], n: u64) {
         if let Some(obs) = &self.0 {
             obs.registry.counter(name, labels).add(n);
         }
     }
 
     /// Set a gauge.
-    pub fn gauge_set(&self, name: &'static str, labels: &[(&str, String)], v: f64) {
+    pub fn gauge_set(&self, name: Name, labels: &[(&str, String)], v: f64) {
         if let Some(obs) = &self.0 {
             obs.registry.gauge(name, labels).set(v);
         }
     }
 
     /// Record a histogram sample.
-    pub fn hist_record(&self, name: &'static str, labels: &[(&str, String)], v: f64) {
+    pub fn hist_record(&self, name: Name, labels: &[(&str, String)], v: f64) {
         if let Some(obs) = &self.0 {
             obs.registry.histogram(name, labels).record(v);
         }
@@ -158,11 +167,7 @@ impl ObsHandle {
 
     /// The histogram handle itself, for hot paths that record many
     /// samples (one registry lookup, then lock-free).
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        labels: &[(&str, String)],
-    ) -> Option<Arc<Histogram>> {
+    pub fn histogram(&self, name: Name, labels: &[(&str, String)]) -> Option<Arc<Histogram>> {
         self.0
             .as_ref()
             .map(|obs| obs.registry.histogram(name, labels))
@@ -170,21 +175,21 @@ impl ObsHandle {
 
     /// The counter handle itself, for hot paths (one registry lookup,
     /// then a relaxed atomic per increment).
-    pub fn counter(&self, name: &'static str, labels: &[(&str, String)]) -> Option<Arc<Counter>> {
+    pub fn counter(&self, name: Name, labels: &[(&str, String)]) -> Option<Arc<Counter>> {
         self.0
             .as_ref()
             .map(|obs| obs.registry.counter(name, labels))
     }
 
     /// Current counter value (`None` when disabled).
-    pub fn counter_value(&self, name: &'static str, labels: &[(&str, String)]) -> Option<u64> {
+    pub fn counter_value(&self, name: Name, labels: &[(&str, String)]) -> Option<u64> {
         self.0
             .as_ref()
             .map(|obs| obs.registry.counter(name, labels).get())
     }
 
     /// Current gauge value (`None` when disabled).
-    pub fn gauge_value(&self, name: &'static str, labels: &[(&str, String)]) -> Option<f64> {
+    pub fn gauge_value(&self, name: Name, labels: &[(&str, String)]) -> Option<f64> {
         self.0
             .as_ref()
             .map(|obs| obs.registry.gauge(name, labels).get())
@@ -331,7 +336,7 @@ impl SpanGuard {
     /// Open a guard over `obs`.
     pub fn enter(
         obs: &ObsHandle,
-        name: &'static str,
+        name: Name,
         parent: SpanId,
         labels: &[(&str, String)],
     ) -> SpanGuard {

@@ -2,183 +2,175 @@
 //!
 //! Every obs name is a lowercase dotted identifier
 //! (`[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*`) registered exactly once — as a
-//! constant in this module. Call sites refer to the constants; spcheck's
-//! `obs_naming` rule rejects string literals in obs-call position outside
-//! this crate, so a name cannot quietly fork into two spellings. Keep
-//! [`ALL`] in sync: the unit test below checks grammar and uniqueness of
-//! everything listed there.
+//! [`Name`] constant in this module. Every obs method takes a [`Name`],
+//! and only this crate can make one, so a literal name at a call site
+//! does not compile and a name cannot quietly fork into two spellings.
+//! One macro defines the constants and [`ALL`] from the same list, so
+//! the unit test below checks grammar and uniqueness of every name.
 
-/// One MapReduce round (span; labels: `job`).
-pub const ENGINE_ROUND: &str = "engine.round";
-/// One simulated task (span; labels: `phase`, `task`; attrs: `sim_s`).
-pub const ENGINE_TASK: &str = "engine.task";
-/// Simulated task seconds (histogram; labels: `phase`).
-pub const ENGINE_TASK_SECONDS: &str = "engine.task.seconds";
-/// A failed attempt was retried (event; labels: `phase`, `task`).
-pub const ENGINE_TASK_RETRY: &str = "engine.task.retry";
-/// A speculative backup launched (event; labels: `phase`, `task`).
-pub const ENGINE_TASK_SPECULATE: &str = "engine.task.speculate";
-/// A machine was lost mid-round (event; labels: `phase`, `machine`).
-pub const ENGINE_MACHINE_LOST: &str = "engine.machine.lost";
+use std::fmt;
 
-/// SP-Sketch build time in simulated seconds (gauge).
-pub const SPCUBE_SKETCH_SECONDS: &str = "spcube.sketch.seconds";
-/// Skewed groups the sketch found (counter; labels: `cuboid`).
-pub const SPCUBE_SKETCH_SKEWED: &str = "spcube.sketch.skewed_groups";
-/// Cuboid level (set-bit count) anchors were placed at (histogram).
-pub const SPCUBE_ANCHOR_LEVEL: &str = "spcube.anchor.level";
-/// Shuffle bytes a cube-round reducer received (gauge; labels: `reducer`).
-pub const SPCUBE_REDUCER_LOAD: &str = "spcube.reducer.load";
-/// Max/mean reducer load of the cube round, skew reducer excluded (gauge).
-pub const SPCUBE_REDUCER_IMBALANCE: &str = "spcube.reducer.imbalance";
-/// The driver fell back to the degraded hash-partitioned plan (event).
-pub const SPCUBE_DEGRADED: &str = "spcube.degraded";
+/// A registered instrument or span name. Its constructor is private to
+/// this crate: outside it, the only names are the constants below.
+///
+/// ```compile_fail
+/// spcube_obs::ObsHandle::default().inc("store.cache.hit", &[]);
+/// ```
+///
+/// ```
+/// use spcube_obs::{names, ObsHandle};
+/// ObsHandle::default().inc(names::STORE_CACHE_HIT, &[]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Name(&'static str);
 
-/// Query answered from a cached decoded segment (counter).
-pub const STORE_CACHE_HIT: &str = "store.cache.hit";
-/// Query had to fetch/decode or recompute a segment (counter).
-pub const STORE_CACHE_MISS: &str = "store.cache.miss";
-/// A segment was served via BUC recompute (event; labels: `cuboid`).
-pub const STORE_DEGRADE_RECOMPUTE: &str = "store.degrade.recompute";
-/// A torn root pointer was repaired at open (event).
-pub const STORE_COMMIT_TORN: &str = "store.commit.torn";
-/// An orphan blob was quarantined at open (event; labels: `path`).
-pub const STORE_BLOB_QUARANTINED: &str = "store.blob.quarantined";
-/// A CrashPoint fired (event; labels: `op`, `path`, `torn`).
-pub const STORE_CRASH_INJECT: &str = "store.crash.inject";
+impl Name {
+    /// A name outside the registry, for this crate's own tests.
+    #[cfg(test)]
+    pub(crate) const fn unregistered(s: &'static str) -> Name {
+        Name(s)
+    }
 
-/// Served query latency in microseconds (histogram).
-pub const SERVE_QUERY_US: &str = "serve.query.us";
-/// A query missed its deadline (counter + event; labels: `stage`).
-pub const SERVE_DEADLINE_EXCEEDED: &str = "serve.deadline.exceeded";
-/// The client launched a hedged second attempt (counter + event).
-pub const SERVE_HEDGE_FIRED: &str = "serve.hedge.fired";
-/// A hedged attempt answered before the primary (counter + event).
-pub const SERVE_HEDGE_WON: &str = "serve.hedge.won";
-/// A per-cuboid serve circuit breaker opened (counter + event; labels:
-/// `cuboid`).
-pub const SERVE_BREAKER_OPEN: &str = "serve.breaker.open";
-/// An open serve circuit breaker refused a query without reaching the
-/// server (counter + event; labels: `cuboid`).
-pub const SERVE_BREAKER_SHED: &str = "serve.breaker.shed";
-/// FaultyBlobs injected a read fault (counter + event; labels: `kind`,
-/// `path`).
-pub const STORE_FAULT_INJECTED: &str = "store.fault.injected";
+    /// The dotted name as text.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
 
-/// Live layer count of an incremental store (gauge).
-pub const STORE_LAYER_COUNT: &str = "store.layer.count";
-/// A delta batch was ingested as a new layer (counter + event).
-pub const STORE_DELTA_INGEST: &str = "store.delta.ingest";
-/// Wall microseconds one delta ingest took, cube + commit (histogram).
-pub const STORE_DELTA_INGEST_US: &str = "store.delta.ingest.us";
-/// Rows written into a delta layer's state segments (counter).
-pub const STORE_DELTA_ROWS: &str = "store.delta.rows";
-/// A compaction folded delta layers into a new base (counter + event).
-pub const STORE_COMPACT_RUN: &str = "store.compact.run";
-/// Layers folded away by compactions (counter).
-pub const STORE_COMPACT_FOLDED: &str = "store.compact.folded_layers";
-/// Wall microseconds one compaction took, merge + commit (histogram).
-pub const STORE_COMPACT_US: &str = "store.compact.us";
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
 
-/// An IngestSession retried after a retryable failure (counter + event;
-/// labels: `attempt`, `op`).
-pub const STORE_INGEST_RETRY: &str = "store.ingest.retry";
-/// A replayed batch ID was answered as a typed no-op (counter + event;
-/// labels: `batch_id`, `generation`).
-pub const STORE_INGEST_DEDUP: &str = "store.ingest.dedup";
-/// A scrub pass over the live chain ran (counter + event; labels:
-/// `generation`).
-pub const STORE_SCRUB_RUN: &str = "store.scrub.run";
-/// Blobs a scrub pass re-verified (counter).
-pub const STORE_SCRUB_CHECKED: &str = "store.scrub.checked";
-/// Blobs a scrub pass found corrupt (counter + event; labels: `path`,
-/// `what`).
-pub const STORE_SCRUB_CORRUPT: &str = "store.scrub.corrupt";
-/// Corrupt blobs copied aside for post-mortem (counter; labels: `path`).
-pub const STORE_SCRUB_QUARANTINED: &str = "store.scrub.quarantined";
-/// Corrupt blobs repaired in place (counter + event; labels: `path`).
-pub const STORE_SCRUB_REPAIRED: &str = "store.scrub.repaired";
-/// Corrupt blobs the scrubber could not repair (counter; labels: `path`).
-pub const STORE_SCRUB_UNREPAIRABLE: &str = "store.scrub.unrepairable";
-/// Wall microseconds one scrub pass took (histogram).
-pub const STORE_SCRUB_US: &str = "store.scrub.us";
+/// Define each name constant and [`ALL`] from one list.
+macro_rules! define_names {
+    ($($(#[$doc:meta])* $id:ident = $name:literal;)*) => {
+        $($(#[$doc])* pub const $id: Name = Name($name);)*
 
-/// Root span of one profiled query's flight trace (span).
-pub const SERVE_PHASE_TOTAL: &str = "serve.phase.total";
-/// Admission-to-dequeue wait in the bounded queue (span).
-pub const SERVE_PHASE_QUEUE_WAIT: &str = "serve.phase.queue_wait";
-/// Residual latency not charged to queue/IO/decode/merge (span).
-pub const SERVE_PHASE_FINALIZE: &str = "serve.phase.finalize";
-/// A profiled client attempt was retried (event; label: `attempt`).
-pub const SERVE_PHASE_RETRY: &str = "serve.phase.retry";
-/// A profiled query ended in a typed error (event).
-pub const SERVE_PHASE_ERROR: &str = "serve.phase.error";
-/// One blob fetch on the profiled read path (span; label: `cuboid` or
-/// `layer`).
-pub const STORE_FLIGHT_BLOB_IO: &str = "store.flight.blob_io";
-/// One segment decode on the profiled read path (span).
-pub const STORE_FLIGHT_DECODE: &str = "store.flight.decode";
-/// One layered state merge on the profiled read path (span).
-pub const STORE_FLIGHT_MERGE: &str = "store.flight.merge";
-/// Tail-sampled flight traces persisted to the kept buffer (counter).
-pub const STORE_FLIGHT_KEPT: &str = "store.flight.kept";
-/// Finished flight traces dropped at ring granularity (counter).
-pub const STORE_FLIGHT_DROPPED: &str = "store.flight.dropped";
+        /// Every registered name — the single source the naming test audits.
+        pub const ALL: &[Name] = &[$($id),*];
+    };
+}
 
-/// Every registered name — the single source the naming test audits.
-pub const ALL: &[&str] = &[
-    ENGINE_ROUND,
-    ENGINE_TASK,
-    ENGINE_TASK_SECONDS,
-    ENGINE_TASK_RETRY,
-    ENGINE_TASK_SPECULATE,
-    ENGINE_MACHINE_LOST,
-    SPCUBE_SKETCH_SECONDS,
-    SPCUBE_SKETCH_SKEWED,
-    SPCUBE_ANCHOR_LEVEL,
-    SPCUBE_REDUCER_LOAD,
-    SPCUBE_REDUCER_IMBALANCE,
-    SPCUBE_DEGRADED,
-    STORE_CACHE_HIT,
-    STORE_CACHE_MISS,
-    STORE_DEGRADE_RECOMPUTE,
-    STORE_COMMIT_TORN,
-    STORE_BLOB_QUARANTINED,
-    STORE_CRASH_INJECT,
-    SERVE_QUERY_US,
-    SERVE_DEADLINE_EXCEEDED,
-    SERVE_HEDGE_FIRED,
-    SERVE_HEDGE_WON,
-    SERVE_BREAKER_OPEN,
-    SERVE_BREAKER_SHED,
-    STORE_FAULT_INJECTED,
-    STORE_LAYER_COUNT,
-    STORE_DELTA_INGEST,
-    STORE_DELTA_INGEST_US,
-    STORE_DELTA_ROWS,
-    STORE_COMPACT_RUN,
-    STORE_COMPACT_FOLDED,
-    STORE_COMPACT_US,
-    STORE_INGEST_RETRY,
-    STORE_INGEST_DEDUP,
-    STORE_SCRUB_RUN,
-    STORE_SCRUB_CHECKED,
-    STORE_SCRUB_CORRUPT,
-    STORE_SCRUB_QUARANTINED,
-    STORE_SCRUB_REPAIRED,
-    STORE_SCRUB_UNREPAIRABLE,
-    STORE_SCRUB_US,
-    SERVE_PHASE_TOTAL,
-    SERVE_PHASE_QUEUE_WAIT,
-    SERVE_PHASE_FINALIZE,
-    SERVE_PHASE_RETRY,
-    SERVE_PHASE_ERROR,
-    STORE_FLIGHT_BLOB_IO,
-    STORE_FLIGHT_DECODE,
-    STORE_FLIGHT_MERGE,
-    STORE_FLIGHT_KEPT,
-    STORE_FLIGHT_DROPPED,
-];
+define_names! {
+    /// One MapReduce round (span; labels: `job`).
+    ENGINE_ROUND = "engine.round";
+    /// One simulated task (span; labels: `phase`, `task`; attrs: `sim_s`).
+    ENGINE_TASK = "engine.task";
+    /// Simulated task seconds (histogram; labels: `phase`).
+    ENGINE_TASK_SECONDS = "engine.task.seconds";
+    /// A failed attempt was retried (event; labels: `phase`, `task`).
+    ENGINE_TASK_RETRY = "engine.task.retry";
+    /// A speculative backup launched (event; labels: `phase`, `task`).
+    ENGINE_TASK_SPECULATE = "engine.task.speculate";
+    /// A machine was lost mid-round (event; labels: `phase`, `machine`).
+    ENGINE_MACHINE_LOST = "engine.machine.lost";
+
+    /// SP-Sketch build time in simulated seconds (gauge).
+    SPCUBE_SKETCH_SECONDS = "spcube.sketch.seconds";
+    /// Skewed groups the sketch found (counter; labels: `cuboid`).
+    SPCUBE_SKETCH_SKEWED = "spcube.sketch.skewed_groups";
+    /// Cuboid level (set-bit count) anchors were placed at (histogram).
+    SPCUBE_ANCHOR_LEVEL = "spcube.anchor.level";
+    /// Shuffle bytes a cube-round reducer received (gauge; labels: `reducer`).
+    SPCUBE_REDUCER_LOAD = "spcube.reducer.load";
+    /// Max/mean reducer load of the cube round, skew reducer excluded (gauge).
+    SPCUBE_REDUCER_IMBALANCE = "spcube.reducer.imbalance";
+    /// The driver fell back to the degraded hash-partitioned plan (event).
+    SPCUBE_DEGRADED = "spcube.degraded";
+
+    /// Query answered from a cached decoded segment (counter).
+    STORE_CACHE_HIT = "store.cache.hit";
+    /// Query had to fetch/decode or recompute a segment (counter).
+    STORE_CACHE_MISS = "store.cache.miss";
+    /// A segment was served via BUC recompute (event; labels: `cuboid`).
+    STORE_DEGRADE_RECOMPUTE = "store.degrade.recompute";
+    /// A torn root pointer was repaired at open (event).
+    STORE_COMMIT_TORN = "store.commit.torn";
+    /// An orphan blob was quarantined at open (event; labels: `path`).
+    STORE_BLOB_QUARANTINED = "store.blob.quarantined";
+    /// A CrashPoint fired (event; labels: `op`, `path`, `torn`).
+    STORE_CRASH_INJECT = "store.crash.inject";
+
+    /// Served query latency in microseconds (histogram).
+    SERVE_QUERY_US = "serve.query.us";
+    /// A query missed its deadline (counter + event; labels: `stage`).
+    SERVE_DEADLINE_EXCEEDED = "serve.deadline.exceeded";
+    /// The client launched a hedged second attempt (counter + event).
+    SERVE_HEDGE_FIRED = "serve.hedge.fired";
+    /// A hedged attempt answered before the primary (counter + event).
+    SERVE_HEDGE_WON = "serve.hedge.won";
+    /// A per-cuboid serve circuit breaker opened (counter + event; labels:
+    /// `cuboid`).
+    SERVE_BREAKER_OPEN = "serve.breaker.open";
+    /// An open serve circuit breaker refused a query without reaching the
+    /// server (counter + event; labels: `cuboid`).
+    SERVE_BREAKER_SHED = "serve.breaker.shed";
+    /// FaultyBlobs injected a read fault (counter + event; labels: `kind`,
+    /// `path`).
+    STORE_FAULT_INJECTED = "store.fault.injected";
+
+    /// Live layer count of an incremental store (gauge).
+    STORE_LAYER_COUNT = "store.layer.count";
+    /// A delta batch was ingested as a new layer (counter + event).
+    STORE_DELTA_INGEST = "store.delta.ingest";
+    /// Wall microseconds one delta ingest took, cube + commit (histogram).
+    STORE_DELTA_INGEST_US = "store.delta.ingest.us";
+    /// Rows written into a delta layer's state segments (counter).
+    STORE_DELTA_ROWS = "store.delta.rows";
+    /// A compaction folded delta layers into a new base (counter + event).
+    STORE_COMPACT_RUN = "store.compact.run";
+    /// Layers folded away by compactions (counter).
+    STORE_COMPACT_FOLDED = "store.compact.folded_layers";
+    /// Wall microseconds one compaction took, merge + commit (histogram).
+    STORE_COMPACT_US = "store.compact.us";
+
+    /// An IngestSession retried after a retryable failure (counter + event;
+    /// labels: `attempt`, `op`).
+    STORE_INGEST_RETRY = "store.ingest.retry";
+    /// A replayed batch ID was answered as a typed no-op (counter + event;
+    /// labels: `batch_id`, `generation`).
+    STORE_INGEST_DEDUP = "store.ingest.dedup";
+    /// A scrub pass over the live chain ran (counter + event; labels:
+    /// `generation`).
+    STORE_SCRUB_RUN = "store.scrub.run";
+    /// Blobs a scrub pass re-verified (counter).
+    STORE_SCRUB_CHECKED = "store.scrub.checked";
+    /// Blobs a scrub pass found corrupt (counter + event; labels: `path`,
+    /// `what`).
+    STORE_SCRUB_CORRUPT = "store.scrub.corrupt";
+    /// Corrupt blobs copied aside for post-mortem (counter; labels: `path`).
+    STORE_SCRUB_QUARANTINED = "store.scrub.quarantined";
+    /// Corrupt blobs repaired in place (counter + event; labels: `path`).
+    STORE_SCRUB_REPAIRED = "store.scrub.repaired";
+    /// Corrupt blobs the scrubber could not repair (counter; labels: `path`).
+    STORE_SCRUB_UNREPAIRABLE = "store.scrub.unrepairable";
+    /// Wall microseconds one scrub pass took (histogram).
+    STORE_SCRUB_US = "store.scrub.us";
+
+    /// Root span of one profiled query's flight trace (span).
+    SERVE_PHASE_TOTAL = "serve.phase.total";
+    /// Admission-to-dequeue wait in the bounded queue (span).
+    SERVE_PHASE_QUEUE_WAIT = "serve.phase.queue_wait";
+    /// Residual latency not charged to queue/IO/decode/merge (span).
+    SERVE_PHASE_FINALIZE = "serve.phase.finalize";
+    /// A profiled client attempt was retried (event; label: `attempt`).
+    SERVE_PHASE_RETRY = "serve.phase.retry";
+    /// A profiled query ended in a typed error (event).
+    SERVE_PHASE_ERROR = "serve.phase.error";
+    /// One blob fetch on the profiled read path (span; label: `cuboid` or
+    /// `layer`).
+    STORE_FLIGHT_BLOB_IO = "store.flight.blob_io";
+    /// One segment decode on the profiled read path (span).
+    STORE_FLIGHT_DECODE = "store.flight.decode";
+    /// One layered state merge on the profiled read path (span).
+    STORE_FLIGHT_MERGE = "store.flight.merge";
+    /// Tail-sampled flight traces persisted to the kept buffer (counter).
+    STORE_FLIGHT_KEPT = "store.flight.kept";
+    /// Finished flight traces dropped at ring granularity (counter).
+    STORE_FLIGHT_DROPPED = "store.flight.dropped";
+}
 
 /// Whether `s` is a lowercase dotted identifier:
 /// `[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*`.
@@ -200,7 +192,7 @@ mod tests {
     fn every_name_matches_the_grammar_and_is_unique() {
         let mut seen = BTreeSet::new();
         for name in ALL {
-            assert!(valid_name(name), "bad obs name: {name}");
+            assert!(valid_name(name.as_str()), "bad obs name: {name}");
             assert!(seen.insert(*name), "duplicate obs name: {name}");
         }
     }

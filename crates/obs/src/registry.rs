@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex};
 use spcube_common::sync::lock_or_recover;
 
 use crate::hist::Histogram;
+use crate::names::Name;
 
 /// A monotone counter.
 #[derive(Debug, Default)]
@@ -74,11 +75,11 @@ enum Instrument {
 
 /// The registry: one instrument per `(name, labels)`, created on first
 /// touch. Asking for an existing name with a different instrument kind
-/// returns a fresh detached instrument rather than panicking (the
-/// spcheck naming rule makes that a compile-gate offence instead).
+/// returns a fresh detached instrument rather than panicking (each
+/// registered [`Name`] documents its one kind in `obs::names`).
 #[derive(Debug, Default)]
 pub struct Registry {
-    instruments: Mutex<BTreeMap<(&'static str, Labels), Instrument>>,
+    instruments: Mutex<BTreeMap<(Name, Labels), Instrument>>,
 }
 
 impl Registry {
@@ -88,7 +89,7 @@ impl Registry {
     }
 
     /// The counter `name{labels}`, created on first touch.
-    pub fn counter(&self, name: &'static str, labels: &[(&str, String)]) -> Arc<Counter> {
+    pub fn counter(&self, name: Name, labels: &[(&str, String)]) -> Arc<Counter> {
         let key = (name, labels_of(labels));
         let mut map = lock_or_recover(&self.instruments);
         match map
@@ -101,7 +102,7 @@ impl Registry {
     }
 
     /// The gauge `name{labels}`, created on first touch.
-    pub fn gauge(&self, name: &'static str, labels: &[(&str, String)]) -> Arc<Gauge> {
+    pub fn gauge(&self, name: Name, labels: &[(&str, String)]) -> Arc<Gauge> {
         let key = (name, labels_of(labels));
         let mut map = lock_or_recover(&self.instruments);
         match map
@@ -114,7 +115,7 @@ impl Registry {
     }
 
     /// The histogram `name{labels}`, created on first touch.
-    pub fn histogram(&self, name: &'static str, labels: &[(&str, String)]) -> Arc<Histogram> {
+    pub fn histogram(&self, name: Name, labels: &[(&str, String)]) -> Arc<Histogram> {
         let key = (name, labels_of(labels));
         let mut map = lock_or_recover(&self.instruments);
         match map
@@ -147,7 +148,7 @@ impl Registry {
         let mut out = String::new();
         let map = lock_or_recover(&self.instruments);
         for ((name, labels), instr) in map.iter() {
-            let name = name.replace('.', "_");
+            let name = name.as_str().replace('.', "_");
             match instr {
                 Instrument::Counter(c) => {
                     out.push_str(&format!("{name}{} {}\n", fmt_labels(labels, None), c.get()));
@@ -194,41 +195,46 @@ impl Registry {
 mod tests {
     use super::*;
 
+    const AB: Name = Name::unregistered("a.b");
+    const GX: Name = Name::unregistered("g.x");
+    const XY: Name = Name::unregistered("x.y");
+
     #[test]
     fn same_key_returns_the_same_instrument() {
         let r = Registry::new();
-        r.counter("a.b", &[("k", "1".into())]).add(2);
-        r.counter("a.b", &[("k", "1".into())]).add(3);
-        assert_eq!(r.counter("a.b", &[("k", "1".into())]).get(), 5);
+        r.counter(AB, &[("k", "1".into())]).add(2);
+        r.counter(AB, &[("k", "1".into())]).add(3);
+        assert_eq!(r.counter(AB, &[("k", "1".into())]).get(), 5);
         // A different label set is a different instrument.
-        assert_eq!(r.counter("a.b", &[("k", "2".into())]).get(), 0);
+        assert_eq!(r.counter(AB, &[("k", "2".into())]).get(), 0);
     }
 
     #[test]
     fn label_order_does_not_matter() {
         let r = Registry::new();
-        r.gauge("g.x", &[("a", "1".into()), ("b", "2".into())])
+        r.gauge(GX, &[("a", "1".into()), ("b", "2".into())])
             .set(7.0);
-        let same = r.gauge("g.x", &[("b", "2".into()), ("a", "1".into())]);
+        let same = r.gauge(GX, &[("b", "2".into()), ("a", "1".into())]);
         assert_eq!(same.get(), 7.0);
     }
 
     #[test]
     fn kind_mismatch_returns_detached_not_panic() {
         let r = Registry::new();
-        r.counter("x.y", &[]).inc();
-        let g = r.gauge("x.y", &[]);
+        r.counter(XY, &[]).inc();
+        let g = r.gauge(XY, &[]);
         g.set(3.0);
         // The counter is untouched; the mismatched gauge is detached.
-        assert_eq!(r.counter("x.y", &[]).get(), 1);
+        assert_eq!(r.counter(XY, &[]).get(), 1);
     }
 
     #[test]
     fn snapshot_is_sorted_and_renames_dots() {
         let r = Registry::new();
-        r.counter("b.count", &[]).inc();
-        r.gauge("a.gauge", &[("r", "0".into())]).set(1.5);
-        r.histogram("c.lat", &[]).record(3.0);
+        r.counter(Name::unregistered("b.count"), &[]).inc();
+        r.gauge(Name::unregistered("a.gauge"), &[("r", "0".into())])
+            .set(1.5);
+        r.histogram(Name::unregistered("c.lat"), &[]).record(3.0);
         let snap = r.prometheus_snapshot();
         let a = snap.find("a_gauge{r=\"0\"} 1.5").expect("gauge line");
         let b = snap.find("b_count 1").expect("counter line");

@@ -26,7 +26,7 @@ use spcube_common::sync::lock_or_recover;
 use crate::clock::Clock;
 use crate::ctx::{PhaseAcc, QueryCtx};
 use crate::hist::Histogram;
-use crate::names;
+use crate::names::{self, Name};
 use crate::sampler::{self, TailSampler};
 
 /// Records each per-thread ring holds before wrap-around overwrites the
@@ -88,7 +88,7 @@ pub enum FlightName {
 
 impl FlightName {
     /// The registered obs name this record renders as.
-    pub fn as_str(self) -> &'static str {
+    pub fn name(self) -> Name {
         match self {
             FlightName::QueryTotal => names::SERVE_PHASE_TOTAL,
             FlightName::QueueWait => names::SERVE_PHASE_QUEUE_WAIT,
@@ -626,9 +626,9 @@ mod tests {
         assert!(exemplars.iter().any(|e| e.trace_id == c.trace_id));
         let jsonl = r.jsonl();
         assert!(jsonl.contains("\"trace\":1"));
-        assert!(jsonl.contains(names::SERVE_PHASE_TOTAL));
-        assert!(jsonl.contains(names::STORE_FLIGHT_BLOB_IO));
-        assert!(jsonl.contains(names::SERVE_PHASE_FINALIZE));
+        assert!(jsonl.contains(names::SERVE_PHASE_TOTAL.as_str()));
+        assert!(jsonl.contains(names::STORE_FLIGHT_BLOB_IO.as_str()));
+        assert!(jsonl.contains(names::SERVE_PHASE_FINALIZE.as_str()));
     }
 
     #[test]
@@ -664,9 +664,9 @@ mod tests {
         .ok();
         assert!(r.finish(&c, 0, 50, true, false));
         let jsonl = r.jsonl();
-        assert!(jsonl.contains(names::SERVE_PHASE_QUEUE_WAIT));
+        assert!(jsonl.contains(names::SERVE_PHASE_QUEUE_WAIT.as_str()));
         assert!(
-            jsonl.contains(names::STORE_FLIGHT_BLOB_IO),
+            jsonl.contains(names::STORE_FLIGHT_BLOB_IO.as_str()),
             "cross-thread record harvested"
         );
     }

@@ -60,7 +60,7 @@ pub fn trace_jsonl(trace_id: u64, recs: &mut [FlightRec]) -> String {
             r.start_us,
             r.id,
             r.dur_us,
-            r.name.as_str(),
+            r.name.name(),
             r.label.map(|(_, v)| v),
         )
     });
@@ -76,7 +76,7 @@ pub fn trace_jsonl(trace_id: u64, recs: &mut [FlightRec]) -> String {
                     "{{\"type\":\"span_start\",\"id\":{},\"parent\":{},\"name\":\"{}\",\"ts_us\":{},\"trace\":{trace_id},\"labels\":{labels}}}\n",
                     rec.id,
                     rec.parent,
-                    escape(rec.name.as_str()),
+                    escape(rec.name.name().as_str()),
                     rec.start_us,
                 ));
                 out.push_str(&format!(
@@ -88,7 +88,7 @@ pub fn trace_jsonl(trace_id: u64, recs: &mut [FlightRec]) -> String {
             FlightKind::Event => {
                 out.push_str(&format!(
                     "{{\"type\":\"event\",\"name\":\"{}\",\"parent\":{},\"ts_us\":{},\"trace\":{trace_id},\"labels\":{labels}}}\n",
-                    escape(rec.name.as_str()),
+                    escape(rec.name.name().as_str()),
                     rec.parent,
                     rec.start_us,
                 ));
@@ -156,8 +156,8 @@ mod tests {
         let tree = SpanTree::parse_jsonl(&jsonl).expect("parse");
         tree.validate().expect("valid");
         assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.spans_named(FlightName::BlobIo.as_str()).len(), 1);
-        assert_eq!(tree.events_named(FlightName::HedgeFired.as_str()), 1);
+        assert_eq!(tree.spans_named(FlightName::BlobIo.name()).len(), 1);
+        assert_eq!(tree.events_named(FlightName::HedgeFired.name()), 1);
         assert!(jsonl.contains("\"trace\":9"));
         assert!(jsonl.contains("\"cuboid\":\"5\""));
     }

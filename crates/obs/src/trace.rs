@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 use spcube_common::sync::lock_or_recover;
 
 use crate::clock::Clock;
+use crate::names::Name;
 
 /// Identifier of a recorded span; [`SpanId::ROOT`] (0) is "no parent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,7 +36,7 @@ enum Record {
     SpanStart {
         id: u64,
         parent: u64,
-        name: &'static str,
+        name: Name,
         ts_us: u64,
         labels: Vec<(String, String)>,
     },
@@ -45,7 +46,7 @@ enum Record {
         attrs: Vec<(String, String)>,
     },
     Event {
-        name: &'static str,
+        name: Name,
         parent: u64,
         ts_us: u64,
         labels: Vec<(String, String)>,
@@ -83,7 +84,7 @@ impl Tracer {
 
     /// Open a span. `labels` are sorted into the record for deterministic
     /// output.
-    pub fn span(&self, name: &'static str, parent: SpanId, labels: &[(&str, String)]) -> SpanId {
+    pub fn span(&self, name: Name, parent: SpanId, labels: &[(&str, String)]) -> SpanId {
         let ts_us = self.clock.now_us();
         let mut st = lock_or_recover(&self.state);
         st.next_id += 1;
@@ -113,7 +114,7 @@ impl Tracer {
     }
 
     /// Record an instantaneous event under `parent`.
-    pub fn event(&self, name: &'static str, parent: SpanId, labels: &[(&str, String)]) {
+    pub fn event(&self, name: Name, parent: SpanId, labels: &[(&str, String)]) {
         let ts_us = self.clock.now_us();
         lock_or_recover(&self.state).records.push(Record::Event {
             name,
@@ -138,7 +139,7 @@ impl Tracer {
                 } => {
                     out.push_str(&format!(
                         "{{\"type\":\"span_start\",\"id\":{id},\"parent\":{parent},\"name\":\"{}\",\"ts_us\":{ts_us},\"labels\":{}}}\n",
-                        escape(name),
+                        escape(name.as_str()),
                         json_map(labels)
                     ));
                 }
@@ -156,7 +157,7 @@ impl Tracer {
                 } => {
                     out.push_str(&format!(
                         "{{\"type\":\"event\",\"name\":\"{}\",\"parent\":{parent},\"ts_us\":{ts_us},\"labels\":{}}}\n",
-                        escape(name),
+                        escape(name.as_str()),
                         json_map(labels)
                     ));
                 }
@@ -223,9 +224,10 @@ mod tests {
     fn mock_trace_is_byte_identical_across_runs() {
         let run = || {
             let t = Tracer::new(Arc::new(Clock::mock()));
-            let a = t.span("a.root", SpanId::ROOT, &[("job", "x".into())]);
-            let b = t.span("a.child", a, &[]);
-            t.event("a.tick", b, &[("n", "1".into())]);
+            let [root, child, tick] = ["a.root", "a.child", "a.tick"].map(Name::unregistered);
+            let a = t.span(root, SpanId::ROOT, &[("job", "x".into())]);
+            let b = t.span(child, a, &[]);
+            t.event(tick, b, &[("n", "1".into())]);
             t.end(b, &[("sim_s", "0.5".into())]);
             t.end(a, &[]);
             t.jsonl()
@@ -248,7 +250,8 @@ mod tests {
     #[test]
     fn labels_are_sorted_for_determinism() {
         let t = Tracer::new(Arc::new(Clock::mock()));
-        let s = t.span("s.x", SpanId::ROOT, &[("z", "1".into()), ("a", "2".into())]);
+        let sx = Name::unregistered("s.x");
+        let s = t.span(sx, SpanId::ROOT, &[("z", "1".into()), ("a", "2".into())]);
         t.end(s, &[]);
         assert!(t.jsonl().contains("\"labels\":{\"a\":\"2\",\"z\":\"1\"}"));
     }

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::names::valid_name;
+use crate::names::{valid_name, Name};
 
 /// An event attached to a span (or to the root).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,12 +236,14 @@ impl SpanTree {
     }
 
     /// Spans with `name`, in start order.
-    pub fn spans_named(&self, name: &str) -> Vec<&SpanNode> {
+    pub fn spans_named(&self, name: Name) -> Vec<&SpanNode> {
+        let name = name.as_str();
         self.nodes.iter().filter(|n| n.name == name).collect()
     }
 
     /// Events with `name` anywhere in the tree.
-    pub fn events_named(&self, name: &str) -> usize {
+    pub fn events_named(&self, name: Name) -> usize {
+        let name = name.as_str();
         self.root_events.iter().filter(|e| e.name == name).count()
             + self
                 .nodes
@@ -620,15 +622,16 @@ fn utf8_len(first: u8) -> usize {
 mod tests {
     use super::*;
     use crate::clock::Clock;
+    use crate::names;
     use crate::trace::{SpanId, Tracer};
     use std::sync::Arc;
 
     fn sample_trace() -> String {
         let t = Tracer::new(Arc::new(Clock::mock()));
-        let root = t.span("engine.round", SpanId::ROOT, &[("job", "fig6".into())]);
-        let a = t.span("engine.task", root, &[("task", "0".into())]);
-        let b = t.span("engine.task", root, &[("task", "1".into())]);
-        t.event("engine.task.retry", root, &[("task", "1".into())]);
+        let root = t.span(names::ENGINE_ROUND, SpanId::ROOT, &[("job", "fig6".into())]);
+        let a = t.span(names::ENGINE_TASK, root, &[("task", "0".into())]);
+        let b = t.span(names::ENGINE_TASK, root, &[("task", "1".into())]);
+        t.event(names::ENGINE_TASK_RETRY, root, &[("task", "1".into())]);
         t.end(a, &[("sim_s", "1.5".into())]);
         t.end(b, &[]);
         t.end(root, &[]);
@@ -641,8 +644,8 @@ mod tests {
         assert_eq!(tree.nodes.len(), 3);
         assert_eq!(tree.roots.len(), 1);
         tree.validate().expect("valid");
-        assert_eq!(tree.spans_named("engine.task").len(), 2);
-        assert_eq!(tree.events_named("engine.task.retry"), 1);
+        assert_eq!(tree.spans_named(names::ENGINE_TASK).len(), 2);
+        assert_eq!(tree.events_named(names::ENGINE_TASK_RETRY), 1);
         let render = tree.render();
         assert!(render.contains("engine.round{job=fig6}"));
         assert!(render.contains("<-- slowest path"));

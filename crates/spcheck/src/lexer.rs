@@ -2,8 +2,9 @@
 //!
 //! `scrub` turns a source file into a same-length text where comment
 //! bodies and string/char literal contents are replaced by spaces, so the
-//! rule scanners in [`crate::rules`] can match tokens without being fooled
-//! by `"panic!"` inside a string or `.unwrap()` inside a doc comment.
+//! seal-prime scan in [`crate::rules`] and the concurrency parser in
+//! [`crate::parse`] can match tokens without being fooled by a hex
+//! constant or a `.lock()` inside a comment or string.
 //! While scrubbing it collects:
 //!
 //! * every string/byte-string literal (offset, line, decoded-enough value)
@@ -13,7 +14,7 @@
 //!
 //! `blank_test_regions` then erases `#[cfg(test)]` items (attribute through
 //! the matching closing brace) so test code is never audited: tests may
-//! unwrap freely.
+//! spell a format magic or take locks freely.
 
 /// A string or byte-string literal found outside comments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -359,20 +360,20 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_parses() {
-        let s = scrub("// spcheck:allow(no_panic): protocol invariant\nx.unwrap();\n");
+        let s = scrub("// spcheck:allow(lock_order): protocol invariant\nx.unwrap();\n");
         assert_eq!(s.suppressions.len(), 1);
         let sup = &s.suppressions[0];
         assert_eq!(sup.line, 1);
-        assert_eq!(sup.rule, "no_panic");
+        assert_eq!(sup.rule, "lock_order");
         assert!(sup.has_reason);
     }
 
     #[test]
     fn suppression_without_reason_is_flagged_as_reasonless() {
         for c in [
-            "// spcheck:allow(no_panic)\n",
-            "// spcheck:allow(no_panic):\n",
-            "// spcheck:allow(no_panic):   \n",
+            "// spcheck:allow(lock_order)\n",
+            "// spcheck:allow(lock_order):\n",
+            "// spcheck:allow(lock_order):   \n",
         ] {
             let s = scrub(c);
             assert_eq!(s.suppressions.len(), 1, "{c:?}");
@@ -382,7 +383,7 @@ mod tests {
 
     #[test]
     fn malformed_suppression_has_empty_rule() {
-        let s = scrub("// spcheck:allow no_panic: forgot parens\n");
+        let s = scrub("// spcheck:allow lock_order: forgot parens\n");
         assert_eq!(s.suppressions.len(), 1);
         assert_eq!(s.suppressions[0].rule, "");
     }

@@ -5,7 +5,7 @@
 //! spcheck lockgraph [--root <dir>] [--dot]
 //! ```
 //!
-//! The bare form runs the full rule set (R1–R9) and prints findings.
+//! The bare form runs the full rule set (R2, R6–R9) and prints findings.
 //! `lockgraph` dumps the workspace lock-acquisition graph — every lock
 //! class, every may-acquire edge with its source site, and the acyclicity
 //! verdict — as text, or as Graphviz DOT with `--dot`.

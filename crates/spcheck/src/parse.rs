@@ -796,7 +796,6 @@ fn skip_guard_adapters(bytes: &[u8], mut close: usize) -> usize {
 }
 
 /// Walk one function body, producing its event stream.
-#[allow(clippy::too_many_arguments)]
 fn walk_body(text: &str, start: usize, end: usize, ctx: &ResolveCtx<'_>) -> Vec<Event> {
     let bytes = text.as_bytes();
     let mut events = Vec::new();

@@ -9,9 +9,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line (0 for workspace-level findings with no single site).
     pub line: usize,
-    /// Rule name (`no_panic`, `single_source_format`, `determinism`,
-    /// `error_hygiene`, `bad_suppression`, `lock_order`,
-    /// `hold_across_io`, `channel_hygiene`, `guard_scope`).
+    /// Rule name (`single_source_format`, `bad_suppression`,
+    /// `lock_order`, `hold_across_io`, `channel_hygiene`, `guard_scope`).
     pub rule: String,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
@@ -100,11 +99,11 @@ mod tests {
     #[test]
     fn text_report_lists_findings_and_count() {
         let fs = vec![
-            Finding::new("a.rs", 3, "no_panic", "bad".into()),
-            Finding::new("b.rs", 9, "determinism", "worse".into()),
+            Finding::new("a.rs", 3, "lock_order", "bad".into()),
+            Finding::new("b.rs", 9, "channel_hygiene", "worse".into()),
         ];
         let text = render_text(&fs);
-        assert!(text.contains("a.rs:3: [no_panic] bad"));
+        assert!(text.contains("a.rs:3: [lock_order] bad"));
         assert!(text.contains("2 findings"));
         assert!(render_text(&[]).contains("clean"));
     }
@@ -114,7 +113,7 @@ mod tests {
         let fs = vec![Finding::new(
             "a.rs",
             1,
-            "no_panic",
+            "lock_order",
             "needs \"quotes\" and\nnewline".into(),
         )];
         let json = render_json(&fs);

@@ -123,12 +123,12 @@ proptest! {
             })?;
             prop_assert_eq!(tree.roots.len(), 1, "one QueryTotal root per query");
             prop_assert_eq!(
-                tree.spans_named(FlightName::QueryTotal.as_str()).len(), 1);
+                tree.spans_named(FlightName::QueryTotal.name()).len(), 1);
             prop_assert_eq!(
-                tree.spans_named(FlightName::Finalize.as_str()).len(), 1);
+                tree.spans_named(FlightName::Finalize.name()).len(), 1);
             let storage: usize = PHASES
                 .iter()
-                .map(|p| tree.spans_named(p.as_str()).len())
+                .map(|p| tree.spans_named(p.name()).len())
                 .sum();
             prop_assert_eq!(
                 storage, spans,

@@ -27,7 +27,7 @@ use sp_cube_repro::cubestore::{
 };
 use sp_cube_repro::datagen::{gen_query_workload, gen_zipf, QuerySpec};
 use sp_cube_repro::mapreduce::Dfs;
-use sp_cube_repro::obs::{names, Clock, ObsHandle};
+use sp_cube_repro::obs::{names, Clock, Name, ObsHandle};
 
 const DIMS: usize = 3;
 const QUERIES: usize = 50;
@@ -195,7 +195,7 @@ fn run_combo(combo: &Combo, seed: u64) {
 
     // Observability must agree exactly with the in-process statistics:
     // the obs layer is how an operator sees what the stats structs see.
-    let counter = |name: &'static str, labels: &[(&str, String)]| obs.counter_value(name, labels);
+    let counter = |name: Name, labels: &[(&str, String)]| obs.counter_value(name, labels);
     let server_stats = server.stats();
     assert_eq!(
         counter(names::SERVE_DEADLINE_EXCEEDED, &[]).unwrap_or(0),
