@@ -489,9 +489,9 @@ fn inspect_serve_faults(args: &[String]) {
                 Some(FaultKind::Outage) => 'o',
                 Some(FaultKind::Transient) => 't',
                 Some(FaultKind::Latency) => 'L',
-                // Torn is a write-side kind; the read preview never
-                // draws it, but the match must say so.
-                Some(FaultKind::Torn) => 'x',
+                // Torn and crash are write-side kinds; the read preview
+                // never draws them, but the match must say so.
+                Some(FaultKind::Torn | FaultKind::Crash) => 'x',
                 None => '.',
             })
             .collect();

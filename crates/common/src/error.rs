@@ -55,7 +55,7 @@ pub enum Error {
     /// it as a typed error so one bad request cannot take the process down.
     Internal(String),
     /// A deterministic fault injected by a test harness (e.g. the
-    /// crashpoint blob-store wrapper killing a write mid-commit). Never
+    /// fault-injecting blob-store wrapper crashing a write mid-commit). Never
     /// raised in production; carried as its own variant so recovery code
     /// cannot mistake an injected crash for real data loss and silently
     /// degrade over it.

@@ -22,6 +22,10 @@ impl Mask {
     /// Maximum supported number of cube dimensions.
     pub const MAX_DIMS: usize = 24;
 
+    /// Bits in a mask: a dimension index at or past this is grouped in
+    /// no mask.
+    const BITS: usize = u32::BITS as usize;
+
     /// The full cuboid over `d` dimensions (all bits set).
     #[inline]
     pub fn full(d: usize) -> Mask {
@@ -45,10 +49,11 @@ impl Mask {
         self.0.count_ones()
     }
 
-    /// Whether dimension `i` is grouped.
+    /// Whether dimension `i` is grouped; `false` for any `i` past the
+    /// mask's 32 bits.
     #[inline]
     pub fn contains(self, i: usize) -> bool {
-        self.0 & (1 << i) != 0
+        i < Self::BITS && self.0 & (1 << i) != 0
     }
 
     /// Whether `self` is a (non-strict) subset of `other`, i.e. `self` is a
@@ -70,10 +75,15 @@ impl Mask {
         Mask(self.0 | (1 << i))
     }
 
-    /// Clear dimension `i`.
+    /// Clear dimension `i`; the identity for any `i` past the mask's 32
+    /// bits, which no mask groups.
     #[inline]
     pub fn without(self, i: usize) -> Mask {
-        Mask(self.0 & !(1 << i))
+        if i < Self::BITS {
+            Mask(self.0 & !(1 << i))
+        } else {
+            self
+        }
     }
 
     /// Iterate over the indices of the grouped dimensions, ascending.
@@ -277,5 +287,14 @@ mod tests {
         let m = Mask::EMPTY.with(2).with(0);
         assert!(m.contains(0) && m.contains(2) && !m.contains(1));
         assert_eq!(m.without(0), Mask(0b100));
+        // Bit 31 is the last; no mask groups a dimension past it.
+        let top = Mask(1 << 31);
+        assert!(top.contains(31));
+        assert_eq!(top.without(31), Mask::EMPTY);
+        let all = Mask(u32::MAX);
+        for i in [32, 40] {
+            assert!(!all.contains(i), "dimension {i}");
+            assert_eq!(all.without(i), all, "dimension {i}");
+        }
     }
 }

@@ -36,4 +36,4 @@ pub use buc::{buc, buc_from, BucConfig};
 pub use cube::{Cube, CubeBuilder};
 pub use naive::naive_cube;
 pub use query::CubeQuery;
-pub use read::{roll_up_cuboid, slice_slot, CubeRead};
+pub use read::{check_cuboid, roll_up_cuboid, slice_slot, CubeRead};

@@ -71,8 +71,10 @@ pub trait CubeRead {
     }
 
     /// Roll up: the coarser group obtained by dropping `dim` from `g`.
-    /// Errors if `dim` is not grouped in `g`.
+    /// Errors if `g`'s cuboid is outside the cube or `dim` is not grouped
+    /// in `g`.
     fn roll_up(&self, g: &Group, dim: usize) -> Result<Option<(Group, AggOutput)>> {
+        check_cuboid(g.mask, self.dims())?;
         let coarse = g.project(roll_up_cuboid(g, dim)?);
         let found = self.point(coarse.mask, &coarse.key)?;
         Ok(found.map(|v| (coarse, v)))
@@ -94,6 +96,19 @@ pub trait CubeRead {
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(n);
         Ok(scored)
+    }
+}
+
+/// `Ok` when `mask` names a cuboid of a `dims`-dimensional cube, or the
+/// shared out-of-range error: every read that names a cuboid refuses one
+/// outside the cube rather than answering it as empty.
+pub fn check_cuboid(mask: Mask, dims: usize) -> Result<()> {
+    if mask.is_subset_of(Mask::full(dims)) {
+        Ok(())
+    } else {
+        Err(Error::Config(format!(
+            "cuboid {mask} is outside the store's {dims} dimensions"
+        )))
     }
 }
 
@@ -123,6 +138,7 @@ impl CubeRead for CubeQuery<'_> {
     }
 
     fn cuboid_rows(&self, mask: Mask) -> Result<Vec<(Group, AggOutput)>> {
+        check_cuboid(mask, CubeQuery::dims(self))?;
         Ok(self
             .cuboid(mask)
             .iter()
@@ -131,10 +147,12 @@ impl CubeRead for CubeQuery<'_> {
     }
 
     fn point(&self, mask: Mask, key: &[Value]) -> Result<Option<AggOutput>> {
+        check_cuboid(mask, CubeQuery::dims(self))?;
         Ok(self.group(mask, key).cloned())
     }
 
     fn cuboid_len(&self, mask: Mask) -> Result<usize> {
+        check_cuboid(mask, CubeQuery::dims(self))?;
         Ok(CubeQuery::cuboid_len(self, mask))
     }
 }

@@ -47,7 +47,9 @@ use spcube_obs::{
     SpanId,
 };
 
-use crate::server::{CubeServer, Deadline, Request, Response, ServeError};
+use crate::server::{
+    reply_channel, Answer, Attempt, CubeServer, Deadline, Request, Response, ServeError,
+};
 
 /// Delay schedule between retries, in seconds.
 const BACKOFF: Backoff = Backoff::Exponential {
@@ -284,30 +286,18 @@ impl ResilientClient {
         deadline: Option<Deadline>,
         ctx: Option<&QueryCtx>,
     ) -> ServeResult {
-        let flight = self.server.store().obs();
         let mask = req.cuboid();
-        let flight_event = |name| {
-            if let Some(c) = ctx {
-                flight.flight_emit(
-                    FlightRec::event(c, name, flight.flight_now_us())
-                        .with_label(FlightLabel::Cuboid, u64::from(mask.0)),
-                );
-            }
-        };
+        let cuboid = Some((FlightLabel::Cuboid, u64::from(mask.0)));
         if self.breaker_open(mask) {
-            flight_event(FlightName::Shed);
+            self.flight_event(ctx, FlightName::Shed, cuboid);
             return Ok(self.shed(mask));
         }
         let mut last = Response::Failed("no attempt made".to_string());
         for attempt in 1..=self.cfg.max_attempts {
             if attempt > 1 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = ctx {
-                    flight.flight_emit(
-                        FlightRec::event(c, FlightName::Retry, flight.flight_now_us())
-                            .with_label(FlightLabel::Attempt, u64::from(attempt)),
-                    );
-                }
+                let label = Some((FlightLabel::Attempt, u64::from(attempt)));
+                self.flight_event(ctx, FlightName::Retry, label);
                 self.backoff_sleep(attempt - 1);
             }
             self.attempts.fetch_add(1, Ordering::Relaxed);
@@ -316,7 +306,7 @@ impl ResilientClient {
                     if self.note_failure(mask) {
                         // Breaker (re)opened: retrying a cuboid just
                         // declared unservable only adds load.
-                        flight_event(FlightName::BreakerOpen);
+                        self.flight_event(ctx, FlightName::BreakerOpen, cuboid);
                         return Ok(Response::Failed(msg));
                     }
                     last = Response::Failed(msg);
@@ -351,72 +341,67 @@ impl ResilientClient {
         deadline: Option<Deadline>,
         ctx: Option<&QueryCtx>,
     ) -> ServeResult {
-        let rx = self
-            .server
-            .submit_traced(req.clone(), deadline, ctx.cloned())?;
-        if !self.cfg.hedge {
-            return rx.recv().map_err(|_| ServeError::ShuttingDown)?;
+        // A hedge answers on the primary's channel, so the client blocks
+        // in one `recv` for whichever attempt lands first.
+        let (tx, rx) = reply_channel();
+        let spare = self.cfg.hedge.then(|| tx.clone());
+        self.server
+            .submit_traced(req.clone(), deadline, ctx.cloned(), tx, Attempt::Primary)?;
+        if let Some(spare) = spare {
+            match rx.recv_timeout(Duration::from_micros(self.hedge_delay_us())) {
+                Ok((_, outcome)) => return outcome,
+                // The primary is slow: fire a duplicate and race the two.
+                Err(_) => self.hedge(req, deadline, ctx, spare),
+            }
         }
-        match rx.recv_timeout(Duration::from_micros(self.hedge_delay_us())) {
-            Ok(outcome) => return outcome,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ServeError::ShuttingDown),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
+        let (attempt, outcome) = rx.recv().map_err(|_| ServeError::ShuttingDown)?;
+        if attempt == Attempt::Hedge {
+            self.hedges_won.fetch_add(1, Ordering::Relaxed);
+            self.obs.inc(names::SERVE_HEDGE_WON, &[]);
+            self.obs.event(names::SERVE_HEDGE_WON, SpanId::ROOT, &[]);
+            self.flight_event(ctx, FlightName::HedgeWon, None);
         }
-        // The primary is slow: fire a duplicate and race the two.
-        let Ok(hedge_rx) = self
+        outcome
+    }
+
+    /// Submit a hedged duplicate of a slow primary, answering on `reply`.
+    /// A refused hedge (queue full, shutting down) drops its sender with
+    /// it, and the client waits out the primary alone.
+    fn hedge(
+        &self,
+        req: &Request,
+        deadline: Option<Deadline>,
+        ctx: Option<&QueryCtx>,
+        reply: mpsc::Sender<Answer>,
+    ) {
+        if self
             .server
-            .submit_traced(req.clone(), deadline, ctx.cloned())
-        else {
-            // Queue full or shutting down — the hedge never launched;
-            // fall back to waiting out the primary.
-            return rx.recv().map_err(|_| ServeError::ShuttingDown)?;
-        };
+            .submit_traced(req.clone(), deadline, ctx.cloned(), reply, Attempt::Hedge)
+            .is_err()
+        {
+            return;
+        }
         self.hedges_fired.fetch_add(1, Ordering::Relaxed);
         self.obs.inc(names::SERVE_HEDGE_FIRED, &[]);
         self.obs.event(names::SERVE_HEDGE_FIRED, SpanId::ROOT, &[]);
-        if let Some(c) = ctx {
-            let flight = self.server.store().obs();
-            flight.flight_emit(FlightRec::event(
-                c,
-                FlightName::HedgeFired,
-                flight.flight_now_us(),
-            ));
-        }
-        let mut primary = Some(&rx);
-        let mut hedge = Some(&hedge_rx);
-        loop {
-            if let Some(p) = primary {
-                match p.try_recv() {
-                    Ok(outcome) => return outcome,
-                    Err(mpsc::TryRecvError::Disconnected) => primary = None,
-                    Err(mpsc::TryRecvError::Empty) => {}
-                }
-            }
-            if let Some(h) = hedge {
-                match h.try_recv() {
-                    Ok(outcome) => {
-                        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-                        self.obs.inc(names::SERVE_HEDGE_WON, &[]);
-                        self.obs.event(names::SERVE_HEDGE_WON, SpanId::ROOT, &[]);
-                        if let Some(c) = ctx {
-                            let flight = self.server.store().obs();
-                            flight.flight_emit(FlightRec::event(
-                                c,
-                                FlightName::HedgeWon,
-                                flight.flight_now_us(),
-                            ));
-                        }
-                        return outcome;
-                    }
-                    Err(mpsc::TryRecvError::Disconnected) => hedge = None,
-                    Err(mpsc::TryRecvError::Empty) => {}
-                }
-            }
-            if primary.is_none() && hedge.is_none() {
-                return Err(ServeError::ShuttingDown);
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
+        self.flight_event(ctx, FlightName::HedgeFired, None);
+    }
+
+    /// Record `name`, with an optional label, in the query's flight
+    /// trace when it has one.
+    fn flight_event(
+        &self,
+        ctx: Option<&QueryCtx>,
+        name: FlightName,
+        label: Option<(FlightLabel, u64)>,
+    ) {
+        let Some(c) = ctx else { return };
+        let flight = self.server.store().obs();
+        let rec = FlightRec::event(c, name, flight.flight_now_us());
+        flight.flight_emit(match label {
+            Some((l, v)) => rec.with_label(l, v),
+            None => rec,
+        });
     }
 
     /// The hedge delay: the [`HEDGE_QUANTILE`] of the server's live
@@ -513,7 +498,7 @@ mod tests {
     use crate::server::{CubeServer, ServerConfig};
     use crate::store::{write_store, CubeStore};
     use spcube_agg::{AggOutput, AggSpec};
-    use spcube_common::{Relation, Schema, Value};
+    use spcube_common::{Group, Relation, Schema, Value};
     use spcube_cubealg::naive_cube;
     use spcube_mapreduce::Dfs;
     use spcube_obs::Clock;
@@ -759,11 +744,18 @@ mod tests {
         // m1 stays healthy: the next valid query on it answers.
         let resp = client.query(point_req(), None).expect("query");
         assert_eq!(resp, Response::Value(Some(AggOutput::Number(3.0))));
-        // A cuboid outside the 2-d store is refused the same way.
-        let err = client
-            .query(Request::CuboidLen { mask: Mask(0b100) }, None)
-            .expect_err("typed refusal");
-        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        // A cuboid outside the 2-d store, and a roll-up on a dimension
+        // past the mask's 32 bits, are refused the same way.
+        for req in [
+            Request::CuboidLen { mask: Mask(0b100) },
+            Request::RollUp {
+                group: Group::new(Mask(0b01), vec![Value::Int(1)]),
+                dim: 40,
+            },
+        ] {
+            let err = client.query(req, None).expect_err("typed refusal");
+            assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        }
         assert_eq!(client.stats().breaker_opens, 0);
     }
 

@@ -25,9 +25,11 @@
 //!                guarantee write_store gives its previous generation)
 //! ```
 //!
-//! Every commit reuses the PR 4 protocol verbatim: segments first, the
+//! Every commit goes through the same routine as a full rebuild
+//! (`store::commit_generation`): segments first, the
 //! generation's seal manifest second, one root-manifest write as the
-//! commit point, cleanup after. A crash anywhere leaves either the old
+//! commit point, cleanup after; only the GC keep-rule differs. A crash
+//! anywhere leaves either the old
 //! chain or the new chain authoritative — never a torn merge — because
 //! recovery ([`crate::recover::scan_store`]) only chooses a generation
 //! whose whole chain is sealed.
@@ -84,11 +86,9 @@ use crate::blob::BlobStore;
 use crate::codec::{
     checked_body, put_agg_state, put_len, put_u32, put_value, seal, AggRead, Reader,
 };
-use crate::manifest::{
-    gen_manifest_path, manifest_path, parse_generation, state_segment_path, Manifest,
-    ManifestEntry, StoreKind,
-};
+use crate::manifest::{next_generation, state_segment_path, Manifest, StoreKind};
 use crate::recover::{scan_store, ScanReport};
+use crate::store::commit_generation;
 
 /// Magic prefix of a serialized state segment (format version 1).
 pub const STATE_SEGMENT_MAGIC: &[u8; 5] = b"DSEG1";
@@ -432,11 +432,15 @@ fn ingest_states_inner(
             batch_ids.insert(pos, id);
         }
     }
-    let generation = next_generation(&scan);
-    let mut layers = old_chain.clone();
-    layers.push(generation);
     commit_layer(
-        blobs, prefix, d, spec, states, layers, batch_ids, &old_chain, generation,
+        blobs,
+        prefix,
+        d,
+        spec,
+        states,
+        old_chain.clone(),
+        batch_ids,
+        &old_chain,
     )
     .map(IngestOutcome::Applied)
 }
@@ -553,13 +557,11 @@ impl Compactor {
                 }
             }
         }
-        let generation = next_generation(&scan);
-        let mut layers: Vec<u64> = chain
+        let survivors: Vec<u64> = chain
             .iter()
             .copied()
             .filter(|g| !victims.contains(g))
             .collect();
-        layers.push(generation);
         let states: StateCube = merged
             .into_iter()
             .map(|(mask, groups)| (mask, groups.into_iter().collect()))
@@ -570,13 +572,12 @@ impl Compactor {
             current.d,
             current.spec,
             states,
-            layers,
+            survivors,
             // Compaction folds layers, not history: the exactly-once ID
             // set rides along unchanged so replays stay deduplicated
             // across folds.
             current.batch_ids.clone(),
             &chain,
-            generation,
         )?;
         let folded: Vec<u64> = victims.into_iter().collect();
         self.obs.inc(names::STORE_COMPACT_RUN, &[]);
@@ -588,7 +589,7 @@ impl Compactor {
             names::STORE_COMPACT_RUN,
             SpanId::ROOT,
             &[
-                ("generation", generation.to_string()),
+                ("generation", report.generation.to_string()),
                 ("folded", folded.len().to_string()),
             ],
         );
@@ -918,7 +919,7 @@ pub(crate) fn merge_into(
 /// same `Corrupt` as [`crate::store::CubeStore::open`]: starting a new
 /// chain there would serve the batch alone and orphan every older blob.
 fn current_state_manifest(scan: &ScanReport, prefix: &str) -> Result<Option<Manifest>> {
-    let Some(chosen) = scan.chosen else {
+    let Some(manifest) = scan.chosen_manifest() else {
         if scan.root_present {
             return Err(Error::corrupt(
                 "store",
@@ -927,49 +928,28 @@ fn current_state_manifest(scan: &ScanReport, prefix: &str) -> Result<Option<Mani
         }
         return Ok(None);
     };
-    let manifest = scan
-        .generations
-        .iter()
-        .find(|g| g.generation == chosen)
-        .and_then(|g| g.manifest.clone())
-        .ok_or_else(|| {
-            Error::Internal(format!("scan chose generation {chosen} without a manifest"))
-        })?;
     if manifest.kind != StoreKind::State {
         return Err(Error::Config(format!(
             "`{prefix}` holds a full-rebuild store; delta ingest and compaction need an incremental store"
         )));
     }
-    Ok(Some(manifest))
+    Ok(Some(manifest.clone()))
 }
 
 /// The sealed manifest of chain member `g`.
 fn layer_manifest(scan: &ScanReport, g: u64) -> Result<&Manifest> {
-    scan.generations
-        .iter()
-        .find(|i| i.generation == g && i.sealed)
-        .and_then(|i| i.manifest.as_ref())
+    scan.sealed_manifest(g)
         .ok_or_else(|| Error::corrupt("store", format!("chain layer {g} is not sealed")))
 }
 
-/// Next generation number: one past anything ever written under the
-/// prefix, sealed or not, so an aborted commit never gets its dirty
-/// directory reused.
-fn next_generation(scan: &ScanReport) -> u64 {
-    scan.generations
-        .iter()
-        .map(|i| i.generation)
-        .max()
-        .unwrap_or(0)
-        + 1
-}
-
-/// Commit `states` as generation `generation` with the given chain,
-/// following the PR 4 protocol: segments, seal, one root write (the
-/// commit point), then chain-aware GC. `old_chain` is the chain the
-/// previous root named; its members survive this commit so readers
-/// opened against it keep answering. `batch_ids` is the cumulative
-/// exactly-once ID set the new manifest will carry (strictly ascending).
+/// Commit `states` as a new generation through `commit_generation`,
+/// layered on top of `kept`, the chain members that stay live. `old_chain`
+/// is the chain the previous root named: the GC keeps every generation
+/// either chain names, so readers opened against the previous chain keep
+/// answering through this commit — the same one-rewrite guarantee
+/// `write_store` gives — and aborted generations are swept at once.
+/// `batch_ids` is the cumulative exactly-once ID set the new manifest
+/// will carry (strictly ascending).
 #[expect(
     clippy::too_many_arguments,
     reason = "the commit protocol's inputs, each consumed once; a struct would only be unpacked here"
@@ -980,39 +960,16 @@ fn commit_layer(
     d: usize,
     spec: AggSpec,
     states: StateCube,
-    layers: Vec<u64>,
+    kept: Vec<u64>,
     batch_ids: Vec<u64>,
     old_chain: &[u64],
-    generation: u64,
 ) -> Result<DeltaWriteReport> {
     let listing = blobs.list(prefix)?;
-    let mut entries = Vec::with_capacity(states.len());
-    let mut total_bytes = 0u64;
-    let mut total_rows = 0u64;
-    // BTreeMap iteration: segments land in ascending mask order, so the
-    // blob sequence and manifest are byte-identical across runs.
-    for (mask, rows) in states {
-        if rows.is_empty() {
-            continue;
-        }
-        let segment = StateSegment::build(d, mask, rows)?;
-        let encoded = segment.encode()?;
-        let path = state_segment_path(prefix, generation, d, mask);
-        total_bytes += encoded.len() as u64;
-        total_rows += segment.len() as u64;
-        entries.push(ManifestEntry {
-            mask,
-            rows: u32::try_from(segment.len()).map_err(|_| {
-                Error::Internal(format!(
-                    "cuboid {mask} row count exceeds the manifest field"
-                ))
-            })?,
-            bytes: encoded.len() as u64,
-            path: path.clone(),
-        });
-        blobs.put(&path, encoded)?;
-    }
-    let manifest = Manifest {
+    let generation = next_generation(prefix, &listing);
+    let mut layers = kept;
+    layers.push(generation);
+    let live: BTreeSet<u64> = layers.iter().chain(old_chain).copied().collect();
+    let header = Manifest {
         d,
         generation,
         spec,
@@ -1020,34 +977,29 @@ fn commit_layer(
         // bit-exactness (see the module docs).
         min_support: 1,
         kind: StoreKind::State,
-        layers,
+        layers: layers.clone(),
         batch_ids,
-        entries,
+        entries: Vec::new(),
     };
-    let encoded = manifest.encode()?;
-    total_bytes += 2 * encoded.len() as u64;
-    // Seal: the generation's own manifest, written after every segment.
-    blobs.put(&gen_manifest_path(prefix, generation), encoded.clone())?;
-    // COMMIT POINT: one root-manifest write flips readers to the new
-    // chain. Everything before this line is invisible to recovery;
-    // everything after is cleanup.
-    blobs.put(&manifest_path(prefix), encoded)?;
-    // Chain-aware GC: a generation survives while this commit's chain or
-    // the previous chain names it. Compaction victims therefore outlive
-    // exactly one commit — the same one-rewrite guarantee write_store
-    // gives — and aborted generations are swept immediately.
-    let live: BTreeSet<u64> = manifest.layers.iter().chain(old_chain).copied().collect();
-    for (path, _) in &listing {
-        if parse_generation(prefix, path).is_some_and(|g| !live.contains(&g)) {
-            blobs.delete(path)?;
-        }
-    }
+    // BTreeMap iteration: segments land in ascending mask order, so the
+    // blob sequence and manifest are byte-identical across runs.
+    let segments = states
+        .into_iter()
+        .filter(|(_, rows)| !rows.is_empty())
+        .map(|(mask, rows)| {
+            let segment = StateSegment::build(d, mask, rows)?;
+            let path = state_segment_path(prefix, generation, d, mask);
+            Ok((mask, segment.len(), path, segment.encode()?))
+        });
+    let report = commit_generation(blobs, prefix, &listing, header, segments, |g| {
+        live.contains(&g)
+    })?;
     Ok(DeltaWriteReport {
         generation,
-        layers: manifest.layers.clone(),
-        segments: manifest.entries.len(),
-        bytes: total_bytes,
-        rows: total_rows,
+        layers,
+        segments: report.segments,
+        bytes: report.bytes,
+        rows: report.rows,
     })
 }
 
@@ -1060,6 +1012,7 @@ mod tests {
     use spcube_cubealg::{naive_cube, CubeQuery, CubeRead};
     use spcube_mapreduce::Dfs;
 
+    use crate::manifest::{gen_manifest_path, manifest_path};
     use crate::store::{write_store, CubeStore};
 
     /// 12 rows, 3 dims, integer measures (exact in f64 whatever the merge

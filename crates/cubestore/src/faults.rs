@@ -1,10 +1,9 @@
-//! Seeded fault injection for both halves of the storage path.
+//! Seeded, deterministic fault injection for the storage path.
 //!
-//! [`FaultyBlobs`] wraps any [`BlobStore`] and injects faults into `get`
-//! *and* `put` from a deterministic, seeded [`FaultSchedule`] — the
-//! probabilistic sibling of [`crate::crashpoint::CrashPoint`], which
-//! kills a write at an exact operation instead of drawing per-op. The
-//! read side ships three fault kinds:
+//! [`FaultyBlobs`] is the one [`BlobStore`] wrapper that injects faults.
+//! It injects into `get` *and* `put` from a seeded [`FaultSchedule`], and
+//! — when the schedule carries a [`CrashPlan`] — kills a write at one
+//! exact operation. The read side ships three fault kinds:
 //!
 //! * **transient failures** — a single read fails with
 //!   [`Error::Injected`]; the next read of the same path may succeed.
@@ -32,20 +31,48 @@
 //! Every draw is a hash of `(seed, kind, path, index)`, where the index
 //! counts ops of that kind (reads or puts) on that path — the same idiom
 //! as the engine's `FaultPlan` — so a schedule replays identically for a
-//! given op sequence, regardless of wall time or threading. Fired faults
-//! land in an op-kind-tagged oplog ([`FaultRecord`]) and per-kind
-//! [`FaultStats`]; `list`/`delete` pass through untouched, which keeps
-//! the wrapper composable with `CrashPoint` and `DirBlobs`/`Dfs`.
+//! given op sequence, regardless of wall time or threading. The live
+//! `get`/`put` take their decision from the pure [`FaultSchedule::preview`]
+//! and [`FaultSchedule::preview_put`], so what `inspect serve-faults`
+//! renders is exactly what the wrapper injects.
+//!
+//! **Crashes** — a [`CrashPlan`] names one mutating operation (puts and
+//! deletes in issue order, whatever `only_matching` says). That operation
+//! does not take effect, apart from an optional torn fragment of its
+//! first `j` bytes, and every later `get`/`put`/`list`/`delete` fails
+//! with [`Error::Injected`]: the wrapped store is frozen exactly as a
+//! machine loss would leave it. Reopening the *inner* store is the
+//! recovery experiment, which the crash matrices (`tests/store_crash.rs`,
+//! `tests/store_delta.rs`) run for every plan [`schedules`] derives from
+//! a clean run's [`FaultyBlobs::writes`]. Torn fragments come in two
+//! flavours, matching the two shipped media:
+//!
+//! * [`TornWrite::Publish`] — the truncated bytes land under the final
+//!   path, modelling a medium without atomic replace (the simulated DFS).
+//!   Torn offset 0 is the nastiest case: it truncates an existing blob —
+//!   e.g. the root manifest — to nothing.
+//! * [`TornWrite::Stage`] — the truncated bytes land under
+//!   `path + ".tmp"`, modelling an atomic-rename medium ([`DirBlobs`]),
+//!   through the same code as a torn staged write.
+//!
+//! Every fired fault, crashes included, lands in an op-kind-tagged log
+//! ([`FaultRecord`]), per-kind [`FaultStats`], and the
+//! [`names::STORE_FAULT_INJECTED`] counter and event. Every put and
+//! delete also lands in the writes log; clean reads are not logged.
 //!
 //! [`Error::Injected`] is deliberately *not* classified as data loss
 //! (`Error::is_data_loss`), so the store's degraded-recompute path does
 //! not quietly absorb injected faults — they surface as typed errors for
 //! the retry/hedging/breaker layers above (reads) and the
-//! [`crate::delta::IngestSession`] retry loop (writes) to handle.
+//! [`crate::delta::IngestSession`] retry loop (writes) to handle — and a
+//! store that degrade-recomputed over a crash fails the crash matrices
+//! loudly instead of masking a broken commit protocol.
+//!
+//! [`DirBlobs`]: crate::blob::DirBlobs
 // Output path: nothing here may iterate in hash order (DESIGN.md §8).
 #![warn(clippy::disallowed_types)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use spcube_common::sync::lock_or_recover;
@@ -54,8 +81,8 @@ use spcube_obs::{ctx as flightctx, names, FlightLabel, FlightName, FlightRec, Ob
 
 use crate::blob::{BlobStore, TMP_SUFFIX};
 
-/// A seeded schedule of read and write faults. Probabilities are in
-/// `[0, 1]`.
+/// A seeded schedule of read and write faults, plus at most one crash.
+/// Probabilities are in `[0, 1]`.
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     /// Seed for every deterministic draw.
@@ -81,8 +108,11 @@ pub struct FaultSchedule {
     /// Per-put probability of a torn staged write: the put fails *and*
     /// a truncated fragment lands at `path + ".tmp"`.
     pub torn_write_prob: f64,
-    /// Only paths containing this substring are faulted; `None` = all.
+    /// Only paths containing this substring draw faults; `None` = all.
+    /// The crash plan ignores it.
     pub only_matching: Option<String>,
+    /// Crash at one exact mutating operation; `None` = never.
+    pub crash: Option<CrashPlan>,
 }
 
 impl Default for FaultSchedule {
@@ -99,6 +129,7 @@ impl Default for FaultSchedule {
             put_outage_heals_after: 0,
             torn_write_prob: 0.0,
             only_matching: None,
+            crash: None,
         }
     }
 }
@@ -153,12 +184,11 @@ impl FaultSchedule {
         self.applies(path) && self.draw("put-sticky", path, 0) < self.put_sticky_outage_prob
     }
 
-    /// Pure preview of what per-path read `n` (0-based) would inject,
-    /// assuming every earlier read of the path also reached the store
-    /// (so the first `outage_heals_after` reads of a sticky-out path
-    /// fail). Mirrors the decision order of the live wrapper: outage,
-    /// then transient, then latency. `inspect serve-faults` renders
-    /// schedules with this without constructing a [`FaultyBlobs`].
+    /// What per-path read `n` (0-based) injects: outage, then transient,
+    /// then latency. Every read of a path reaches this draw, so the first
+    /// `outage_heals_after` reads of a sticky-out path fail. Pure: the
+    /// live wrapper decides every read here, and `inspect serve-faults`
+    /// renders schedules with it without constructing a [`FaultyBlobs`].
     pub fn preview(&self, path: &str, n: u32) -> Option<FaultKind> {
         if !self.applies(path) {
             return None;
@@ -175,10 +205,9 @@ impl FaultSchedule {
         None
     }
 
-    /// Pure preview of what per-path put `n` (0-based) would inject —
-    /// the write-side mirror of [`Self::preview`], with the same
-    /// decision order as the live wrapper: outage, then transient, then
-    /// torn.
+    /// What per-path put `n` (0-based) injects — the write-side mirror of
+    /// [`Self::preview`]: outage, then transient, then torn. The crash
+    /// plan is not a per-path draw and is decided by the wrapper.
     pub fn preview_put(&self, path: &str, n: u32) -> Option<FaultKind> {
         if !self.applies(path) {
             return None;
@@ -209,23 +238,62 @@ impl FaultSchedule {
     }
 }
 
-/// Which storage operation a fault fired on.
+/// Where the fragment of a torn write lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOp {
-    /// A `get`.
-    Read,
-    /// A `put`.
-    Put,
+pub enum TornWrite {
+    /// Truncated bytes replace the blob at the final path (non-atomic
+    /// medium). Offset 0 truncates an existing blob to nothing.
+    Publish,
+    /// Truncated bytes land at `path + ".tmp"`; the final path is
+    /// untouched (atomic-rename medium).
+    Stage,
 }
 
-impl FaultOp {
+/// One deterministic crash schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrashPlan {
+    /// Index into the sequence of mutating operations (puts and deletes,
+    /// in issue order) of the operation that crashes. That operation does
+    /// not take effect.
+    pub at_op: usize,
+    /// For a `put` victim: leave the first `j` bytes of the payload
+    /// behind, at the place [`TornWrite`] dictates. `None` crashes at the
+    /// operation boundary — nothing of the victim lands at all.
+    pub torn: Option<(usize, TornWrite)>,
+}
+
+/// Which storage operation a fault fired on or a write record logs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OpKind {
+    /// A `get`.
+    Read,
+    /// A `put` (crashable at byte granularity).
+    Put,
+    /// A `delete` (crashable only at the boundary).
+    Delete,
+}
+
+impl OpKind {
     /// Lower-case label value.
     pub fn name(self) -> &'static str {
         match self {
-            FaultOp::Read => "read",
-            FaultOp::Put => "put",
+            OpKind::Read => "read",
+            OpKind::Put => "put",
+            OpKind::Delete => "delete",
         }
     }
+}
+
+/// One mutating operation a [`FaultyBlobs`] saw, for crash-schedule
+/// derivation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpRecord {
+    /// Put or delete.
+    pub kind: OpKind,
+    /// Blob path the operation targeted.
+    pub path: String,
+    /// Payload size for puts; 0 for deletes.
+    pub bytes: u64,
 }
 
 /// What kind of fault fired.
@@ -240,6 +308,9 @@ pub enum FaultKind {
     /// Torn staged write: the put fails and strands a fragment at the
     /// staging name.
     Torn,
+    /// The planned crash: the put or delete fails, and so does every
+    /// later operation.
+    Crash,
 }
 
 impl FaultKind {
@@ -250,6 +321,7 @@ impl FaultKind {
             FaultKind::Outage => "outage",
             FaultKind::Latency => "latency",
             FaultKind::Torn => "torn",
+            FaultKind::Crash => "crash",
         }
     }
 }
@@ -257,17 +329,17 @@ impl FaultKind {
 /// One injected fault, in op order.
 #[derive(Debug, Clone)]
 pub struct FaultRecord {
-    /// Global op index (reads and puts) at which the fault fired
+    /// Global op index (gets, puts and deletes) at which the fault fired
     /// (0-based).
     pub op: u64,
     /// Which operation the fault fired on.
-    pub op_kind: FaultOp,
+    pub op_kind: OpKind,
     /// Blob path the op targeted.
     pub path: String,
     /// Which fault fired.
     pub kind: FaultKind,
     /// Per-path index of the faulted op among ops of the same kind
-    /// (0-based; reads and puts count separately).
+    /// (0-based; each kind counts separately).
     pub index: u32,
 }
 
@@ -286,6 +358,8 @@ pub struct FaultStats {
     pub put_outage: u64,
     /// Torn staged writes injected.
     pub put_torn: u64,
+    /// Planned crashes fired (at most one per wrapper).
+    pub crash: u64,
 }
 
 impl FaultStats {
@@ -294,41 +368,35 @@ impl FaultStats {
         self.read_transient + self.read_outage
     }
 
-    /// Put faults that surfaced as errors (all of them do).
+    /// Put faults that surfaced as errors (all of them do), the crash
+    /// aside.
     pub fn put_failures(&self) -> u64 {
         self.put_transient + self.put_outage + self.put_torn
     }
 
-    /// Everything injected, spikes included.
+    /// Everything injected, spikes and the crash included.
     pub fn total(&self) -> u64 {
-        self.read_transient
-            + self.read_outage
-            + self.read_latency
-            + self.put_transient
-            + self.put_outage
-            + self.put_torn
+        self.read_failures() + self.read_latency + self.put_failures() + self.crash
     }
 }
 
 #[derive(Debug, Default)]
 struct FaultState {
-    /// Reads observed per path (drives per-read draws).
-    reads: BTreeMap<String, u32>,
-    /// Puts observed per path (drives per-put draws).
-    puts: BTreeMap<String, u32>,
-    /// Failures charged against each sticky-out path (drives healing).
-    outage_fails: BTreeMap<String, u32>,
-    /// Failed puts charged against each sticky-write-out path.
-    put_outage_fails: BTreeMap<String, u32>,
-    /// Global op counter (reads and puts).
+    /// Ops seen per (kind, path): the per-path index every draw takes.
+    seen: BTreeMap<(OpKind, String), u32>,
+    /// Global op counter (gets, puts and deletes).
     ops: u64,
+    /// Every put and delete, in issue order.
+    writes: Vec<OpRecord>,
+    /// Whether the crash plan fired; every later op then fails.
+    crashed: bool,
     /// Every fault fired, in order.
     oplog: Vec<FaultRecord>,
     stats: FaultStats,
 }
 
-/// A [`BlobStore`] wrapper that injects seeded read and write faults.
-/// See the module docs for semantics.
+/// A [`BlobStore`] wrapper that injects seeded read and write faults and
+/// at most one planned crash. See the module docs for semantics.
 pub struct FaultyBlobs {
     inner: Arc<dyn BlobStore>,
     schedule: FaultSchedule,
@@ -345,7 +413,8 @@ impl std::fmt::Debug for FaultyBlobs {
 }
 
 impl FaultyBlobs {
-    /// Wrap `inner` with `schedule`.
+    /// Wrap `inner` with `schedule`. With the default schedule the
+    /// wrapper injects nothing and only logs [`Self::writes`].
     pub fn new(inner: Arc<dyn BlobStore>, schedule: FaultSchedule) -> FaultyBlobs {
         FaultyBlobs {
             inner,
@@ -363,11 +432,6 @@ impl FaultyBlobs {
         self
     }
 
-    /// The schedule this wrapper draws from.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
     /// Injected-fault counts so far.
     pub fn stats(&self) -> FaultStats {
         lock_or_recover(&self.state).stats
@@ -378,38 +442,76 @@ impl FaultyBlobs {
         lock_or_recover(&self.state).oplog.clone()
     }
 
-    /// Record one fault in the oplog and stats. Called with the state
-    /// guard held; the matching obs emission is [`Self::emit`], which
-    /// must run after the guard is released.
-    fn record(
-        &self,
-        state: &mut FaultState,
-        op_kind: FaultOp,
-        path: &str,
-        kind: FaultKind,
-        index: u32,
-    ) {
-        state.oplog.push(FaultRecord {
-            op: state.ops,
-            op_kind,
-            path: path.to_string(),
-            kind,
-            index,
-        });
-        match (op_kind, kind) {
-            (FaultOp::Read, FaultKind::Transient) => state.stats.read_transient += 1,
-            (FaultOp::Read, FaultKind::Outage) => state.stats.read_outage += 1,
-            (FaultOp::Read, _) => state.stats.read_latency += 1,
-            (FaultOp::Put, FaultKind::Transient) => state.stats.put_transient += 1,
-            (FaultOp::Put, FaultKind::Outage) => state.stats.put_outage += 1,
-            (FaultOp::Put, _) => state.stats.put_torn += 1,
-        }
+    /// Every put and delete so far, in issue order, the crash victim
+    /// included — what [`schedules`] derives crash plans from.
+    pub fn writes(&self) -> Vec<OpRecord> {
+        lock_or_recover(&self.state).writes.clone()
     }
 
-    /// Emit the obs counter + event for a recorded fault. ObsHandle
-    /// takes its own registry/trace locks, so this must never nest
-    /// under the `faults.state` guard.
-    fn emit(&self, op: FaultOp, path: &str, kind: FaultKind) {
+    /// Count one operation and decide its fault, under the state lock:
+    /// the crash plan first (puts and deletes only), then the pure
+    /// per-path preview. Fired faults are recorded here; their obs
+    /// emission, staging IO and sleeps happen in the caller, after the
+    /// guard drops. Every operation after a crash is refused.
+    fn decide(&self, op: OpKind, path: &str, bytes: usize) -> Result<Option<(FaultKind, u32)>> {
+        let mut guard = lock_or_recover(&self.state);
+        let state = &mut *guard;
+        if state.crashed {
+            return Err(Self::refused(op.name(), path));
+        }
+        let n = {
+            let slot = state.seen.entry((op, path.to_string())).or_insert(0);
+            let n = *slot;
+            *slot += 1;
+            n
+        };
+        let mut crash = false;
+        if op != OpKind::Read {
+            crash = self
+                .schedule
+                .crash
+                .is_some_and(|c| c.at_op == state.writes.len());
+            state.writes.push(OpRecord {
+                kind: op,
+                path: path.to_string(),
+                bytes: bytes as u64,
+            });
+        }
+        let fault = match op {
+            _ if crash => Some(FaultKind::Crash),
+            OpKind::Read => self.schedule.preview(path, n),
+            OpKind::Put => self.schedule.preview_put(path, n),
+            OpKind::Delete => None,
+        };
+        if let Some(kind) = fault {
+            state.crashed = crash;
+            state.oplog.push(FaultRecord {
+                op: state.ops,
+                op_kind: op,
+                path: path.to_string(),
+                kind,
+                index: n,
+            });
+            let stats = &mut state.stats;
+            *match (op, kind) {
+                (_, FaultKind::Crash) => &mut stats.crash,
+                (OpKind::Read, FaultKind::Transient) => &mut stats.read_transient,
+                (OpKind::Read, FaultKind::Outage) => &mut stats.read_outage,
+                (OpKind::Read, _) => &mut stats.read_latency,
+                (_, FaultKind::Transient) => &mut stats.put_transient,
+                (_, FaultKind::Outage) => &mut stats.put_outage,
+                (_, _) => &mut stats.put_torn,
+            } += 1;
+        }
+        state.ops += 1;
+        Ok(fault.map(|kind| (kind, n)))
+    }
+
+    /// Emit the obs counter + event (and, inside a profiled query, the
+    /// flight event) for a recorded fault. ObsHandle takes its own
+    /// registry/trace locks, so this must never nest under the
+    /// `faults.state` guard.
+    fn emit(&self, op: OpKind, path: &str, kind: FaultKind) {
         // Counter keyed by (op, kind) only (so per-kind counts are
         // assertable against stats); the event carries the path too.
         self.obs.inc(
@@ -437,6 +539,7 @@ impl FaultyBlobs {
                 FaultKind::Outage => 1,
                 FaultKind::Latency => 2,
                 FaultKind::Torn => 3,
+                FaultKind::Crash => 4,
             };
             self.obs.flight_emit(
                 FlightRec::event(&c, FlightName::FaultInjected, self.obs.flight_now_us())
@@ -445,144 +548,55 @@ impl FaultyBlobs {
         }
     }
 
-    fn injected(what: String) -> Error {
-        Error::Injected(format!("fault: {what}"))
+    /// Emit a fired fault and return the error it fails its op with.
+    fn inject(&self, op: OpKind, path: &str, (kind, n): (FaultKind, u32)) -> Error {
+        self.emit(op, path, kind);
+        Error::Injected(format!(
+            "fault: {} on {} {n} of {path}",
+            kind.name(),
+            op.name()
+        ))
+    }
+
+    /// The error every operation after a crash fails with.
+    fn refused(what: &str, path: &str) -> Error {
+        Error::Injected(format!("fault: {what} {path} after a crash"))
     }
 }
 
 impl BlobStore for FaultyBlobs {
     fn put(&self, path: &str, data: Vec<u8>) -> Result<()> {
-        if !self.schedule.applies(path) {
+        let Some(fault) = self.decide(OpKind::Put, path, data.len())? else {
             return self.inner.put(path, data);
-        }
-        // Same discipline as `get`: draw and record under the state
-        // lock; obs emission, staging IO and error returns all happen
-        // after the guard drops.
-        enum Draw {
-            Fail(FaultKind, String),
-            /// Fail the put, stranding `data[..len]` at the staging name.
-            Torn(String, usize),
-            Clean,
-        }
-        let draw = {
-            let mut state = lock_or_recover(&self.state);
-            let n = {
-                let slot = state.puts.entry(path.to_string()).or_insert(0);
-                let n = *slot;
-                *slot += 1;
-                n
-            };
-
-            let mut draw = Draw::Clean;
-            // Sticky write outage: drawn once per path, fails every put
-            // until the healing budget is spent.
-            if self.schedule.sticky_write_out(path) {
-                let fails = state.put_outage_fails.get(path).copied().unwrap_or(0);
-                let healed = self.schedule.put_outage_heals_after > 0
-                    && fails >= self.schedule.put_outage_heals_after;
-                if !healed {
-                    state.put_outage_fails.insert(path.to_string(), fails + 1);
-                    self.record(&mut state, FaultOp::Put, path, FaultKind::Outage, n);
-                    draw = Draw::Fail(FaultKind::Outage, format!("sticky write outage on {path}"));
-                }
-            }
-            if matches!(draw, Draw::Clean) {
-                if self.schedule.draw("put-transient", path, n)
-                    < self.schedule.put_transient_fail_prob
-                {
-                    self.record(&mut state, FaultOp::Put, path, FaultKind::Transient, n);
-                    draw = Draw::Fail(
-                        FaultKind::Transient,
-                        format!("transient write failure on {path} (put {n})"),
-                    );
-                } else if self.schedule.draw("torn", path, n) < self.schedule.torn_write_prob {
-                    self.record(&mut state, FaultOp::Put, path, FaultKind::Torn, n);
-                    draw = Draw::Torn(
-                        format!("torn staged write on {path} (put {n})"),
-                        self.schedule.torn_fragment_len(path, n, data.len()),
-                    );
-                }
-            }
-            state.ops += 1;
-            draw
         };
-        match draw {
-            Draw::Fail(kind, what) => {
-                self.emit(FaultOp::Put, path, kind);
-                Err(Self::injected(what))
-            }
-            Draw::Torn(what, frag_len) => {
-                self.emit(FaultOp::Put, path, FaultKind::Torn);
-                // Strand the fragment at the staging name, best-effort:
-                // the final path is never touched, so blob-level
-                // atomicity holds and recovery sees a stale `.tmp`.
-                let fragment = data.get(..frag_len).unwrap_or(&[]).to_vec();
-                let _ = self.inner.put(&format!("{path}{TMP_SUFFIX}"), fragment);
-                Err(Self::injected(what))
-            }
-            Draw::Clean => self.inner.put(path, data),
+        let torn = match fault {
+            (FaultKind::Torn, n) => Some((
+                self.schedule.torn_fragment_len(path, n, data.len()),
+                TornWrite::Stage,
+            )),
+            (FaultKind::Crash, _) => self.schedule.crash.and_then(|c| c.torn),
+            _ => None,
+        };
+        let err = self.inject(OpKind::Put, path, fault);
+        if let Some((len, mode)) = torn {
+            let target = match mode {
+                TornWrite::Publish => path.to_string(),
+                TornWrite::Stage => format!("{path}{TMP_SUFFIX}"),
+            };
+            // The fragment lands although the put fails: that is the
+            // whole point of a torn write. Best-effort — it is debris
+            // either way.
+            let fragment = data.get(..len.min(data.len())).unwrap_or_default();
+            let _ = self.inner.put(&target, fragment.to_vec());
         }
+        Err(err)
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
-        if !self.schedule.applies(path) {
-            return self.inner.get(path);
-        }
-        // Draw the fault outcome and record oplog/stats under the state
-        // lock; obs emission, sleeps and error returns all happen after
-        // the guard drops (ObsHandle takes its own locks internally).
-        enum Draw {
-            Fail(FaultKind, String),
-            Spike,
-            Clean,
-        }
-        let draw = {
-            let mut state = lock_or_recover(&self.state);
-            let n = {
-                let slot = state.reads.entry(path.to_string()).or_insert(0);
-                let n = *slot;
-                *slot += 1;
-                n
-            };
-
-            let mut draw = Draw::Clean;
-            // Sticky outage: drawn once per path, fails every read until
-            // the healing budget is spent.
-            if self.schedule.sticky_out(path) {
-                let fails = state.outage_fails.get(path).copied().unwrap_or(0);
-                let healed = self.schedule.outage_heals_after > 0
-                    && fails >= self.schedule.outage_heals_after;
-                if !healed {
-                    state.outage_fails.insert(path.to_string(), fails + 1);
-                    self.record(&mut state, FaultOp::Read, path, FaultKind::Outage, n);
-                    draw = Draw::Fail(FaultKind::Outage, format!("sticky outage on {path}"));
-                }
-            }
-            if matches!(draw, Draw::Clean) {
-                // Transient failure: one read only.
-                if self.schedule.draw("transient", path, n) < self.schedule.transient_fail_prob {
-                    self.record(&mut state, FaultOp::Read, path, FaultKind::Transient, n);
-                    draw = Draw::Fail(
-                        FaultKind::Transient,
-                        format!("transient read failure on {path} (read {n})"),
-                    );
-                } else if self.schedule.draw("latency", path, n) < self.schedule.latency_spike_prob
-                {
-                    // Latency spike: the read succeeds, late.
-                    self.record(&mut state, FaultOp::Read, path, FaultKind::Latency, n);
-                    draw = Draw::Spike;
-                }
-            }
-            state.ops += 1;
-            draw
-        };
-        match draw {
-            Draw::Fail(kind, what) => {
-                self.emit(FaultOp::Read, path, kind);
-                Err(Self::injected(what))
-            }
-            Draw::Spike => {
-                self.emit(FaultOp::Read, path, FaultKind::Latency);
+        match self.decide(OpKind::Read, path, 0)? {
+            None => self.inner.get(path),
+            Some((FaultKind::Latency, _)) => {
+                self.emit(OpKind::Read, path, FaultKind::Latency);
                 // Sleep outside the lock so concurrent clean reads don't
                 // queue behind an injected spike. Mock-clock runs skip the
                 // real sleep.
@@ -591,17 +605,71 @@ impl BlobStore for FaultyBlobs {
                 }
                 self.inner.get(path)
             }
-            Draw::Clean => self.inner.get(path),
+            Some(fault) => Err(self.inject(OpKind::Read, path, fault)),
         }
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<(String, u64)>> {
+        if lock_or_recover(&self.state).crashed {
+            return Err(Self::refused("list", prefix));
+        }
         self.inner.list(prefix)
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        self.inner.delete(path)
+        match self.decide(OpKind::Delete, path, 0)? {
+            None => self.inner.delete(path),
+            Some(fault) => Err(self.inject(OpKind::Delete, path, fault)),
+        }
     }
+}
+
+/// Every crash schedule worth sweeping for a recorded writes log:
+///
+/// * one boundary crash per mutating operation (the op never happens);
+/// * for every `put`, torn writes at offsets 0, half, and last-byte of
+///   the payload, each in both [`TornWrite`] modes;
+/// * for manifest blobs (paths ending in `.cman` — the commit-critical
+///   writes) additionally a torn write every 256 bytes, both modes.
+///
+/// Offsets are deduplicated, so tiny blobs do not produce redundant
+/// schedules. The sweep is exhaustive over the protocol's structure, not
+/// sampled: if any single crash point can corrupt the store, one of these
+/// schedules exercises it.
+pub fn schedules(writes: &[OpRecord]) -> Vec<CrashPlan> {
+    let mut plans = Vec::new();
+    for (idx, op) in writes.iter().enumerate() {
+        plans.push(CrashPlan {
+            at_op: idx,
+            torn: None,
+        });
+        if op.kind != OpKind::Put {
+            continue;
+        }
+        let len = op.bytes as usize;
+        let mut offsets = BTreeSet::new();
+        offsets.insert(0);
+        if len > 0 {
+            offsets.insert(len / 2);
+            offsets.insert(len - 1);
+        }
+        if op.path.ends_with(".cman") {
+            let mut j = 256;
+            while j < len {
+                offsets.insert(j);
+                j += 256;
+            }
+        }
+        for j in offsets {
+            for mode in [TornWrite::Publish, TornWrite::Stage] {
+                plans.push(CrashPlan {
+                    at_op: idx,
+                    torn: Some((j, mode)),
+                });
+            }
+        }
+    }
+    plans
 }
 
 #[cfg(test)]
@@ -617,42 +685,35 @@ mod tests {
         Arc::new(dfs)
     }
 
+    fn dfs() -> Arc<Dfs> {
+        Arc::new(Dfs::new())
+    }
+
+    /// A wrapper over `inner` armed to crash per `plan`.
+    fn armed(inner: &Arc<Dfs>, plan: CrashPlan) -> FaultyBlobs {
+        FaultyBlobs::new(
+            Arc::clone(inner) as Arc<dyn BlobStore>,
+            FaultSchedule {
+                crash: Some(plan),
+                ..FaultSchedule::default()
+            },
+        )
+    }
+
     #[test]
     fn preview_matches_live_injection() {
-        // The pure preview must agree read-for-read with what the live
-        // wrapper actually injects, across all three read-fault kinds.
-        let schedule = FaultSchedule {
+        // The live wrapper decides through the pure previews, so they
+        // agree op for op, across all three read and write fault kinds.
+        let reads = FaultSchedule {
             seed: 5,
             transient_fail_prob: 0.3,
             sticky_outage_prob: 0.5,
             outage_heals_after: 2,
             latency_spike_prob: 0.4,
-            spike_us: 0,
             only_matching: Some(".cseg".to_string()),
             ..FaultSchedule::default()
         };
-        let fb = FaultyBlobs::new(backing(), schedule.clone());
-        for path in ["s/a.cseg", "s/b.cseg", "s/manifest"] {
-            for n in 0..15u32 {
-                let predicted = schedule.preview(path, n);
-                let before = fb.oplog().len();
-                let _ = fb.get(path);
-                let fired = fb.oplog().get(before).map(|r| {
-                    assert_eq!(r.path, path);
-                    assert_eq!(r.op_kind, FaultOp::Read);
-                    assert_eq!(r.index, n);
-                    r.kind
-                });
-                assert_eq!(fired, predicted, "read {n} of {path}");
-            }
-        }
-    }
-
-    #[test]
-    fn put_preview_matches_live_injection() {
-        // Write-side mirror: preview_put must agree put-for-put with the
-        // live wrapper across all three write-fault kinds.
-        let schedule = FaultSchedule {
+        let puts = FaultSchedule {
             seed: 11,
             put_transient_fail_prob: 0.3,
             put_sticky_outage_prob: 0.5,
@@ -661,32 +722,26 @@ mod tests {
             only_matching: Some(".cseg".to_string()),
             ..FaultSchedule::default()
         };
-        let fb = FaultyBlobs::new(backing(), schedule.clone());
-        for path in ["s/a.cseg", "s/b.cseg", "s/manifest"] {
-            for n in 0..15u32 {
-                let predicted = schedule.preview_put(path, n);
-                let before = fb.oplog().len();
-                let _ = fb.put(path, vec![0xAB; 16]);
-                let fired = fb.oplog().get(before).map(|r| {
-                    assert_eq!(r.path, path);
-                    assert_eq!(r.op_kind, FaultOp::Put);
-                    assert_eq!(r.index, n);
-                    r.kind
-                });
-                assert_eq!(fired, predicted, "put {n} of {path}");
+        for (op, schedule) in [(OpKind::Read, reads), (OpKind::Put, puts)] {
+            let fb = FaultyBlobs::new(backing(), schedule.clone());
+            for path in ["s/a.cseg", "s/b.cseg", "s/manifest"] {
+                for n in 0..15u32 {
+                    let before = fb.oplog().len();
+                    let predicted = if op == OpKind::Read {
+                        let _ = fb.get(path);
+                        schedule.preview(path, n)
+                    } else {
+                        let _ = fb.put(path, vec![0xAB; 16]);
+                        schedule.preview_put(path, n)
+                    };
+                    let fired = fb.oplog().get(before).map(|r| {
+                        assert_eq!((r.path.as_str(), r.op_kind, r.index), (path, op, n));
+                        r.kind
+                    });
+                    assert_eq!(fired, predicted, "{} {n} of {path}", op.name());
+                }
             }
         }
-    }
-
-    #[test]
-    fn zero_schedule_is_transparent() {
-        let fb = FaultyBlobs::new(backing(), FaultSchedule::default());
-        for _ in 0..10 {
-            assert_eq!(fb.get("s/a.cseg").unwrap(), vec![1, 2, 3]);
-            fb.put("s/w.cseg", vec![6]).unwrap();
-        }
-        assert_eq!(fb.stats(), FaultStats::default());
-        assert!(fb.oplog().is_empty());
     }
 
     #[test]
@@ -916,10 +971,10 @@ mod tests {
         assert!(stats.read_failures() > 0);
         assert!(stats.put_failures() > 0);
         for (op, kind, want) in [
-            (FaultOp::Read, FaultKind::Transient, stats.read_transient),
-            (FaultOp::Read, FaultKind::Latency, stats.read_latency),
-            (FaultOp::Put, FaultKind::Transient, stats.put_transient),
-            (FaultOp::Put, FaultKind::Torn, stats.put_torn),
+            (OpKind::Read, FaultKind::Transient, stats.read_transient),
+            (OpKind::Read, FaultKind::Latency, stats.read_latency),
+            (OpKind::Put, FaultKind::Transient, stats.put_transient),
+            (OpKind::Put, FaultKind::Torn, stats.put_torn),
         ] {
             assert_eq!(
                 obs.counter_value(
@@ -988,5 +1043,193 @@ mod tests {
         .validate()
         .is_err());
         assert!(FaultSchedule::default().validate().is_ok());
+    }
+
+    #[test]
+    fn recording_wrapper_passes_through_and_logs() {
+        let inner = dfs();
+        let fb = FaultyBlobs::new(
+            Arc::clone(&inner) as Arc<dyn BlobStore>,
+            FaultSchedule::default(),
+        );
+        fb.put("a", vec![1, 2, 3]).expect("put");
+        assert_eq!(fb.get("a").expect("get"), vec![1, 2, 3]);
+        fb.delete("a").expect("delete");
+        fb.put("b", vec![4]).expect("put");
+        assert_eq!(fb.stats(), FaultStats::default());
+        assert!(fb.oplog().is_empty());
+        // Puts and deletes only, in issue order; the read is not logged.
+        assert_eq!(
+            fb.writes(),
+            vec![
+                OpRecord {
+                    kind: OpKind::Put,
+                    path: "a".into(),
+                    bytes: 3
+                },
+                OpRecord {
+                    kind: OpKind::Delete,
+                    path: "a".into(),
+                    bytes: 0
+                },
+                OpRecord {
+                    kind: OpKind::Put,
+                    path: "b".into(),
+                    bytes: 1
+                },
+            ]
+        );
+        assert_eq!(inner.get("b").expect("b"), vec![4]);
+    }
+
+    #[test]
+    fn boundary_crash_swallows_the_victim_and_everything_after() {
+        let inner = dfs();
+        let obs = ObsHandle::mock();
+        // Faults are scoped to segments, but the plan indexes every put
+        // and delete: op 1 is a manifest write, and it crashes.
+        let fb = FaultyBlobs::new(
+            Arc::clone(&inner) as Arc<dyn BlobStore>,
+            FaultSchedule {
+                only_matching: Some(".cseg".to_string()),
+                crash: Some(CrashPlan {
+                    at_op: 1,
+                    torn: None,
+                }),
+                ..FaultSchedule::default()
+            },
+        )
+        .with_obs(obs.clone());
+        fb.put("a", vec![1]).expect("op 0 is clean");
+        let err = fb.put("b", vec![2]).expect_err("op 1 crashes");
+        assert!(matches!(err, Error::Injected(_)), "{err:?}");
+        assert!(!err.is_data_loss(), "a crash must not degrade");
+        // The victim never landed; later ops of any kind fail.
+        assert!(inner.get("b").is_err());
+        assert!(matches!(fb.put("c", vec![3]), Err(Error::Injected(_))));
+        assert!(matches!(fb.delete("a"), Err(Error::Injected(_))));
+        assert!(matches!(fb.get("a"), Err(Error::Injected(_))));
+        assert!(matches!(fb.list(""), Err(Error::Injected(_))));
+        // The inner store still has the pre-crash state.
+        assert_eq!(inner.get("a").expect("a"), vec![1]);
+        // The crash is one fault like any other: one record, one count,
+        // one `kind=crash` counter; the refused ops after it are none.
+        let oplog = fb.oplog();
+        assert_eq!(oplog.len(), 1);
+        assert_eq!(
+            (oplog[0].op_kind, oplog[0].kind, oplog[0].path.as_str()),
+            (OpKind::Put, FaultKind::Crash, "b")
+        );
+        assert_eq!(fb.stats().crash, 1);
+        assert_eq!(fb.stats().total(), 1);
+        assert_eq!(
+            obs.counter_value(
+                names::STORE_FAULT_INJECTED,
+                &[("kind", "crash".to_string()), ("op", "put".to_string())],
+            ),
+            Some(1)
+        );
+        assert_eq!(fb.writes().len(), 2, "the victim is logged, nothing after");
+    }
+
+    #[test]
+    fn torn_crashes_leave_the_fragment_where_the_medium_would() {
+        for mode in [TornWrite::Publish, TornWrite::Stage] {
+            let inner = dfs();
+            inner.put("a", vec![9; 8]); // pre-existing blob to be clobbered
+            let fb = armed(
+                &inner,
+                CrashPlan {
+                    at_op: 0,
+                    torn: Some((3, mode)),
+                },
+            );
+            assert!(fb.put("a", vec![1, 2, 3, 4]).is_err());
+            match mode {
+                // No atomic replace: the fragment truncates the blob.
+                TornWrite::Publish => assert_eq!(inner.get("a").expect("torn"), vec![1, 2, 3]),
+                // Atomic rename: a temp file is stranded, the blob spared.
+                TornWrite::Stage => {
+                    assert_eq!(inner.get("a").expect("intact"), vec![9; 8]);
+                    assert_eq!(inner.get("a.tmp").expect("fragment"), vec![1, 2, 3]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_crash_on_delete_preserves_the_blob() {
+        let inner = dfs();
+        inner.put("a", vec![7]);
+        let fb = armed(
+            &inner,
+            CrashPlan {
+                at_op: 0,
+                torn: None,
+            },
+        );
+        assert!(fb.delete("a").is_err());
+        assert_eq!(inner.get("a").expect("survives"), vec![7]);
+        assert_eq!(fb.oplog()[0].op_kind, OpKind::Delete);
+    }
+
+    #[test]
+    fn schedules_cover_boundaries_offsets_and_dense_manifests() {
+        let writes = vec![
+            OpRecord {
+                kind: OpKind::Put,
+                path: "s/gen-00000001/cuboid-001.cseg".into(),
+                bytes: 100,
+            },
+            OpRecord {
+                kind: OpKind::Put,
+                path: "s/manifest.cman".into(),
+                bytes: 600,
+            },
+            OpRecord {
+                kind: OpKind::Delete,
+                path: "s/gen-old".into(),
+                bytes: 0,
+            },
+        ];
+        let plans = schedules(&writes);
+        // Every op has a boundary schedule.
+        for idx in 0..writes.len() {
+            assert!(plans.contains(&CrashPlan {
+                at_op: idx,
+                torn: None
+            }));
+        }
+        // The segment put gets {0, 50, 99} × 2 modes.
+        let seg_torn: Vec<_> = plans
+            .iter()
+            .filter(|p| p.at_op == 0 && p.torn.is_some())
+            .collect();
+        assert_eq!(seg_torn.len(), 6);
+        // The manifest put additionally gets 256 and 512 — offsets
+        // {0, 256, 300, 512, 599} × 2 modes.
+        let man_offsets: BTreeSet<usize> = plans
+            .iter()
+            .filter(|p| p.at_op == 1)
+            .filter_map(|p| p.torn.map(|(j, _)| j))
+            .collect();
+        assert_eq!(
+            man_offsets.into_iter().collect::<Vec<_>>(),
+            vec![0, 256, 300, 512, 599]
+        );
+        // The delete only gets its boundary.
+        assert_eq!(plans.iter().filter(|p| p.at_op == 2).count(), 1);
+    }
+
+    #[test]
+    fn zero_length_put_gets_only_offset_zero() {
+        let writes = vec![OpRecord {
+            kind: OpKind::Put,
+            path: "s/empty".into(),
+            bytes: 0,
+        }];
+        let plans = schedules(&writes);
+        // boundary + offset 0 in both modes
+        assert_eq!(plans.len(), 3);
     }
 }

@@ -24,7 +24,8 @@
 //!   crash-atomic via temp-file + fsync + rename.
 //! * **[`store`]** — [`write_store`] persists a cube as a new
 //!   **generation**, sealed by its own manifest and committed by one
-//!   atomic root-manifest write; [`CubeStore`] answers the
+//!   atomic root-manifest write — the commit routine every generation,
+//!   delta layers included, goes through; [`CubeStore`] answers the
 //!   [`CubeRead`](spcube_cubealg::CubeRead) OLAP operations from segments
 //!   through an LRU hot-cuboid cache with hit/miss counters. A corrupt
 //!   segment degrades to a cached recompute; the store never rewrites
@@ -36,17 +37,13 @@
 //!   relation instead of failing the query (the same
 //!   graceful-degradation stance the SP-Cube driver takes when its
 //!   sketch is lost).
-//! * **[`crashpoint`]** — deterministic fault injection: a [`CrashPoint`]
-//!   wrapper kills the write after an exact operation or mid-blob byte
-//!   offset, and [`schedules`](crashpoint::schedules) enumerates every
-//!   crash schedule of a recorded commit for the crash-matrix suite.
 //! * **[`server`]** — [`CubeServer`]: a fixed worker pool over a bounded
 //!   request queue with typed overload rejection, serving point / slice /
 //!   top-k / roll-up requests concurrently from one shared store.
 //! * **[`delta`]** — incremental maintenance: [`ingest_batch`] cubes an
 //!   appended batch and publishes it as a new delta **layer** (mergeable
-//!   `AggState` segments, `DSEG1`) over the same generational commit
-//!   protocol; [`CubeStore`] merges states across the live chain at read
+//!   `AggState` segments, `DSEG1`) through the same commit routine;
+//!   [`CubeStore`] merges states across the live chain at read
 //!   time, bit-exact versus a from-scratch rebuild; a [`Compactor`] folds
 //!   small layers back together under a size-tiered policy.
 //!   [`ingest_batch_with_id`] adds exactly-once semantics — batch IDs
@@ -54,10 +51,13 @@
 //!   [`IngestOutcome::AlreadyApplied`] no-op — and an [`IngestSession`]
 //!   retries injected write faults and I/O errors with bounded backoff.
 //! * **[`faults`]** — seeded, deterministic fault injection for both
-//!   sides of the blob API: [`FaultyBlobs`] wraps a store with scheduled
-//!   transient failures, sticky outages (read and write), latency
-//!   spikes, and torn staged writes, with a pure `preview` mirror and an
-//!   oplog/stats/obs triple that always agree.
+//!   sides of the blob API: [`FaultyBlobs`], the one fault-injecting
+//!   wrapper, draws transient failures, sticky outages (read and write),
+//!   latency spikes, and torn staged writes from the pure `preview`
+//!   functions it decides with, and can crash a write at one exact
+//!   operation or byte offset per a [`CrashPlan`]; [`schedules`]
+//!   enumerates every crash plan of a recorded commit for the crash
+//!   matrices. Its oplog, stats and obs counters always agree.
 //! * **[`scrub`]** — the background integrity scrubber: a [`Scrubber`]
 //!   walks the live generation chain re-verifying every blob checksum
 //!   and zone-map invariant, quarantines bit-rot (copy-aside, never
@@ -79,7 +79,6 @@ pub mod blob;
 pub mod cache;
 pub mod client;
 pub mod codec;
-pub mod crashpoint;
 pub mod delta;
 pub mod faults;
 pub mod manifest;
@@ -92,14 +91,16 @@ pub mod store;
 pub use blob::{BlobStore, DirBlobs};
 pub use cache::SegmentCache;
 pub use client::{ClientConfig, ClientStats, ResilientClient};
-pub use crashpoint::{schedules, CrashPlan, CrashPoint, OpKind, OpRecord, TornWrite};
 pub use delta::{
     batch_content_id, compact, ingest_batch, ingest_batch_with_id, ingest_states,
     ingest_states_with_id, merged_cuboid, state_cube, CompactReport, CompactionPolicy, Compactor,
     DeltaWriteReport, IngestConfig, IngestOutcome, IngestSession, IngestStats, StateCube,
     StateSegment,
 };
-pub use faults::{FaultKind, FaultOp, FaultRecord, FaultSchedule, FaultStats, FaultyBlobs};
+pub use faults::{
+    schedules, CrashPlan, FaultKind, FaultRecord, FaultSchedule, FaultStats, FaultyBlobs, OpKind,
+    OpRecord, TornWrite,
+};
 pub use manifest::{
     gen_manifest_path, gen_prefix, manifest_path, parse_generation, quarantine_path, segment_path,
     state_segment_path, Manifest, ManifestEntry, StoreKind,
@@ -108,6 +109,7 @@ pub use recover::{recompute_cuboid, scan_store, GenerationInfo, ScanReport};
 pub use scrub::{ScrubConfig, ScrubFinding, ScrubReport, Scrubber};
 pub use segment::Segment;
 pub use server::{
-    answer, CubeServer, Deadline, Request, Response, ServeError, ServerConfig, ServerStats,
+    answer, Answer, Attempt, CubeServer, Deadline, Request, Response, ServeError, ServerConfig,
+    ServerStats,
 };
 pub use store::{write_store, CubeStore, StoreStats, StoreWriteReport, DEFAULT_CACHE_SEGMENTS};

@@ -358,6 +358,18 @@ pub fn parse_generation(prefix: &str, path: &str) -> Option<u64> {
     dir.strip_prefix("gen-")?.parse().ok()
 }
 
+/// The generation a new commit under `prefix` takes: one past anything
+/// `listing` shows ever written there, sealed or not, so an aborted
+/// commit never gets its dirty directory reused.
+pub(crate) fn next_generation(prefix: &str, listing: &[(String, u64)]) -> u64 {
+    listing
+        .iter()
+        .filter_map(|(p, _)| parse_generation(prefix, p))
+        .max()
+        .unwrap_or(0)
+        + 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,6 +81,22 @@ pub struct ScanReport {
     pub orphans: Vec<String>,
 }
 
+impl ScanReport {
+    /// The seal manifest of generation `g`, when `g` is fully sealed.
+    pub fn sealed_manifest(&self, g: u64) -> Option<&Manifest> {
+        self.generations
+            .iter()
+            .find(|i| i.generation == g && i.sealed)
+            .and_then(|i| i.manifest.as_ref())
+    }
+
+    /// The manifest a reader should serve: the chosen generation's seal,
+    /// `None` when the store has no complete generation.
+    pub fn chosen_manifest(&self) -> Option<&Manifest> {
+        self.chosen.and_then(|g| self.sealed_manifest(g))
+    }
+}
+
 /// Classify everything under `prefix`: generations, seal status, commit
 /// pointer, and orphans. Read-only; errors only when the listing itself
 /// fails (a torn or missing manifest is a *finding*, not an error).
@@ -133,32 +149,12 @@ pub fn scan_store(blobs: &dyn BlobStore, prefix: &str) -> Result<ScanReport> {
         });
     }
 
+    let root = manifest_path(prefix);
     let committed = blobs
-        .get(&manifest_path(prefix))
+        .get(&root)
         .and_then(|bytes| Manifest::decode(&bytes))
         .ok()
         .map(|m| m.generation);
-    let is_sealed = |g: u64| generations.iter().any(|i| i.generation == g && i.sealed);
-    // A generation is *choosable* when it is sealed and — for layered
-    // state stores — every generation its layer chain names is also
-    // sealed: a chain head whose ancestors are torn cannot answer reads.
-    let choosable = |g: u64| {
-        generations
-            .iter()
-            .find(|i| i.generation == g && i.sealed)
-            .and_then(|i| i.manifest.as_ref())
-            .is_some_and(|m| m.layers.iter().all(|&l| l == g || is_sealed(l)))
-    };
-    let chosen = committed.filter(|&g| choosable(g)).or_else(|| {
-        generations
-            .iter()
-            .rev()
-            .find(|i| choosable(i.generation))
-            .map(|i| i.generation)
-    });
-    let torn_root = chosen.is_some() && committed != chosen;
-
-    let root = manifest_path(prefix);
     let root_present = sizes.contains_key(root.as_str());
     let quarantine = format!("{prefix}/{QUARANTINE_DIR}/");
     let orphans = listing
@@ -167,14 +163,35 @@ pub fn scan_store(blobs: &dyn BlobStore, prefix: &str) -> Result<ScanReport> {
         .filter(|p| *p != root && !p.starts_with(&quarantine) && !sealed_blobs.contains(p))
         .collect();
 
-    Ok(ScanReport {
+    let mut report = ScanReport {
         generations,
         committed,
-        chosen,
-        torn_root,
+        chosen: None,
+        torn_root: false,
         root_present,
         orphans,
-    })
+    };
+    // A generation is *choosable* when it is sealed and — for layered
+    // state stores — every generation its layer chain names is also
+    // sealed: a chain head whose ancestors are torn cannot answer reads.
+    let choosable = |g: u64| {
+        report.sealed_manifest(g).is_some_and(|m| {
+            m.layers
+                .iter()
+                .all(|&l| l == g || report.sealed_manifest(l).is_some())
+        })
+    };
+    let chosen = committed.filter(|&g| choosable(g)).or_else(|| {
+        report
+            .generations
+            .iter()
+            .rev()
+            .find(|i| choosable(i.generation))
+            .map(|i| i.generation)
+    });
+    report.chosen = chosen;
+    report.torn_root = chosen.is_some() && committed != chosen;
+    Ok(report)
 }
 
 /// Recompute the cuboid `mask` of `rel` under `spec`, keeping only groups

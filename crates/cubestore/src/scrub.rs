@@ -165,24 +165,17 @@ impl Scrubber {
         let t0 = Stopwatch::start();
         let scan = scan_store(blobs, prefix)?;
         let mut report = ScrubReport::default();
-        let Some(chosen) = scan.chosen else {
+        let Some(chain_manifest) = scan.chosen_manifest() else {
             self.emit_run(&report, t0);
             return Ok(report);
         };
+        let chosen = chain_manifest.generation;
         report.generation = Some(chosen);
-        let chain_manifest = scan
-            .generations
-            .iter()
-            .find(|g| g.generation == chosen)
-            .and_then(|g| g.manifest.clone())
-            .ok_or_else(|| {
-                Error::Internal(format!("scan chose generation {chosen} without a manifest"))
-            })?;
 
         // Root commit pointer: must decode and name the chosen chain.
         // Repair = rewrite from the chosen seal (idempotent; the same
         // repair `CubeStore::open` applies to a torn root).
-        self.check_root(blobs, prefix, chosen, &chain_manifest, &mut report);
+        self.check_root(blobs, prefix, chain_manifest, &mut report);
 
         // The layers to walk: the chain for a state store, the single
         // chosen generation for an output store.
@@ -191,12 +184,7 @@ impl Scrubber {
             StoreKind::Output => vec![chosen],
         };
         for g in chain {
-            let Some(layer) = scan
-                .generations
-                .iter()
-                .find(|i| i.generation == g && i.sealed)
-                .and_then(|i| i.manifest.clone())
-            else {
+            let Some(layer) = scan.sealed_manifest(g) else {
                 // A chosen chain only names sealed layers; reaching this
                 // means the store changed under us mid-walk. Typed, not
                 // a panic: the next pass sees the new chain.
@@ -208,7 +196,7 @@ impl Scrubber {
             report.manifests_checked += 1;
             report.clean += 1;
             for entry in &layer.entries {
-                self.check_segment(blobs, prefix, &layer, entry, &mut report);
+                self.check_segment(blobs, prefix, layer, entry, &mut report);
             }
         }
         self.emit_run(&report, t0);
@@ -220,10 +208,10 @@ impl Scrubber {
         &self,
         blobs: &dyn BlobStore,
         prefix: &str,
-        chosen: u64,
         chain_manifest: &Manifest,
         report: &mut ScrubReport,
     ) {
+        let chosen = chain_manifest.generation;
         report.manifests_checked += 1;
         let root = manifest_path(prefix);
         let verdict = blobs.get(&root).and_then(|bytes| {

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use spcube_agg::AggOutput;
 use spcube_common::sync::{lock_or_recover, wait_or_recover};
 use spcube_common::{Error, Group, Mask, Value};
-use spcube_cubealg::{roll_up_cuboid, slice_slot, CubeRead};
+use spcube_cubealg::{check_cuboid, roll_up_cuboid, slice_slot, CubeRead};
 use spcube_obs::ctx as flightctx;
 use spcube_obs::{names, Clock, FlightName, FlightRec, ObsHandle, QueryCtx, SpanId, Stopwatch};
 
@@ -82,10 +82,8 @@ impl Request {
             Request::RollUp { group, .. } => group.mask,
             _ => self.cuboid(),
         };
-        if !mask.is_subset_of(Mask::full(dims)) {
-            return Some(Error::Config(format!(
-                "cuboid {mask} is outside the store's {dims} dimensions"
-            )));
+        if let Err(e) = check_cuboid(mask, dims) {
+            return Some(e);
         }
         match self {
             Request::Point { mask, key } if key.len() != mask.arity() as usize => {
@@ -227,7 +225,41 @@ impl ServerStats {
     }
 }
 
-type Reply = mpsc::Sender<Result<Response, ServeError>>;
+/// Which copy of a request an answer belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attempt {
+    /// The request as first submitted.
+    Primary,
+    /// A hedged duplicate of a slow primary.
+    Hedge,
+}
+
+/// A worker's answer to one submission, tagged with the attempt it
+/// answers.
+pub type Answer = (Attempt, Result<Response, ServeError>);
+
+/// A reply channel for submissions — the serving path's one unbounded
+/// channel, holding at most one answer per submission made on it. The
+/// attempt tag on every answer lets both attempts of a hedged query share
+/// one channel, so its client blocks in one `recv` for whichever lands
+/// first.
+pub(crate) fn reply_channel() -> (mpsc::Sender<Answer>, mpsc::Receiver<Answer>) {
+    mpsc::channel()
+}
+
+/// Where a worker sends one request's answer.
+struct ReplyTo {
+    tx: mpsc::Sender<Answer>,
+    attempt: Attempt,
+}
+
+impl ReplyTo {
+    /// Send the tagged answer. The submitter may have given up (or
+    /// already taken the other attempt's answer); a dead receiver is fine.
+    fn deliver(self, outcome: Result<Response, ServeError>) {
+        let _ = self.tx.send((self.attempt, outcome));
+    }
+}
 
 /// Flight-recorder context riding one queued request: the query's
 /// [`QueryCtx`] plus its admission timestamp on the obs clock, so the
@@ -242,7 +274,7 @@ pub struct Flight {
 }
 
 struct Queue {
-    jobs: VecDeque<(Request, Option<Deadline>, Option<Flight>, Reply)>,
+    jobs: VecDeque<(Request, Option<Deadline>, Option<Flight>, ReplyTo)>,
     shutting_down: bool,
 }
 
@@ -307,10 +339,7 @@ impl CubeServer {
     /// Enqueue a request with no deadline; the response arrives on the
     /// returned channel. Fails fast with [`ServeError::Overloaded`] when
     /// the queue is full.
-    pub fn submit(
-        &self,
-        req: Request,
-    ) -> Result<mpsc::Receiver<Result<Response, ServeError>>, ServeError> {
+    pub fn submit(&self, req: Request) -> Result<mpsc::Receiver<Answer>, ServeError> {
         self.submit_at(req, None)
     }
 
@@ -320,20 +349,25 @@ impl CubeServer {
         &self,
         req: Request,
         deadline: Option<Deadline>,
-    ) -> Result<mpsc::Receiver<Result<Response, ServeError>>, ServeError> {
-        self.submit_traced(req, deadline, None)
+    ) -> Result<mpsc::Receiver<Answer>, ServeError> {
+        let (tx, rx) = reply_channel();
+        self.submit_traced(req, deadline, None, tx, Attempt::Primary)?;
+        Ok(rx)
     }
 
-    /// Enqueue a request carrying a flight-recorder context. The
-    /// admission timestamp is read on the obs clock (not the server's
-    /// deadline clock) so profiled runs never perturb mock-clock
-    /// deadline arithmetic.
+    /// Enqueue a request carrying a flight-recorder context, to be
+    /// answered on `reply` under the tag `attempt`, so both attempts of a
+    /// hedged query can share one channel. The admission timestamp is
+    /// read on the obs clock (not the server's deadline clock) so
+    /// profiled runs never perturb mock-clock deadline arithmetic.
     pub fn submit_traced(
         &self,
         req: Request,
         deadline: Option<Deadline>,
         ctx: Option<QueryCtx>,
-    ) -> Result<mpsc::Receiver<Result<Response, ServeError>>, ServeError> {
+        reply: mpsc::Sender<Answer>,
+        attempt: Attempt,
+    ) -> Result<(), ServeError> {
         if let Some(dl) = deadline {
             if self.shared.clock.now_us() >= dl.at_us {
                 note_deadline_miss(&self.shared, self.store.obs(), "admission");
@@ -354,11 +388,11 @@ impl CubeServer {
                 capacity: self.shared.capacity,
             });
         }
-        let (tx, rx) = mpsc::channel();
-        q.jobs.push_back((req, deadline, flight, tx));
+        q.jobs
+            .push_back((req, deadline, flight, ReplyTo { tx: reply, attempt }));
         drop(q);
         self.shared.wake.notify_one();
-        Ok(rx)
+        Ok(())
     }
 
     /// Submit and block for the answer — the simple synchronous client.
@@ -373,7 +407,7 @@ impl CubeServer {
         deadline: Option<Deadline>,
     ) -> Result<Response, ServeError> {
         let rx = self.submit_at(req, deadline)?;
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
+        rx.recv().map_err(|_| ServeError::ShuttingDown)?.1
     }
 
     /// Current reading of the server's deadline clock, in microseconds.
@@ -440,12 +474,15 @@ impl CubeServer {
                 // reply instead of a dropped channel. Drain under the
                 // lock, reply after releasing it — the reply channel is
                 // IO and must not run under the queue guard.
-                let shed: Vec<Reply> = {
+                let shed: Vec<ReplyTo> = {
                     let mut q = lock_or_recover(&self.shared.queue);
-                    q.jobs.drain(..).map(|(_req, _dl, _fl, tx)| tx).collect()
+                    q.jobs
+                        .drain(..)
+                        .map(|(_req, _dl, _fl, reply)| reply)
+                        .collect()
                 };
-                for tx in shed {
-                    let _ = tx.send(Err(ServeError::ShuttingDown));
+                for reply in shed {
+                    reply.deliver(Err(ServeError::ShuttingDown));
                 }
                 break;
             }
@@ -492,7 +529,7 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
                 q = wait_or_recover(&shared.wake, q);
             }
         };
-        let Some((req, deadline, flight, tx)) = job else {
+        let Some((req, deadline, flight, reply)) = job else {
             return;
         };
         // Flight context crossed the queue: close the queue-wait span
@@ -515,7 +552,7 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
         if let Some(dl) = deadline {
             if shared.clock.now_us() >= dl.at_us {
                 note_deadline_miss(shared, store.obs(), "dequeue");
-                let _ = tx.send(Err(ServeError::DeadlineExceeded));
+                reply.deliver(Err(ServeError::DeadlineExceeded));
                 continue;
             }
         }
@@ -544,19 +581,13 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
             Some(fl) => flightctx::scope(&fl.ctx, exec),
             None => exec(),
         };
-        match outcome {
-            Ok(resp) => {
-                if let Some(h) = &latency_us {
-                    h.record(t0.seconds() * 1e6);
-                }
-                shared.served.fetch_add(1, Ordering::Relaxed);
-                // The client may have given up; a dead receiver is fine.
-                let _ = tx.send(Ok(resp));
+        if outcome.is_ok() {
+            if let Some(h) = &latency_us {
+                h.record(t0.seconds() * 1e6);
             }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-            }
+            shared.served.fetch_add(1, Ordering::Relaxed);
         }
+        reply.deliver(outcome);
     }
 }
 
@@ -577,7 +608,7 @@ pub fn answer<R: CubeRead + ?Sized>(read: &R, req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::write_store;
+    use crate::store::{write_store, StoreStats};
     use spcube_agg::AggSpec;
     use spcube_common::{Relation, Schema};
     use spcube_cubealg::naive_cube;
@@ -844,8 +875,10 @@ mod tests {
         // A 2-d store: masks with bit 2 or 3 set name no cuboid of it.
         let store = serving_store();
         let server = CubeServer::start(Arc::clone(&store), mock_config(1, 8));
+        let reference = naive_cube(&store_rel(), AggSpec::Sum);
+        let reference = spcube_cubealg::CubeQuery::new(&reference, 2);
         let one = || vec![Value::Int(1)];
-        let refused = [
+        let out_of_range = [
             Request::CuboidLen { mask: Mask(0b100) },
             Request::Point {
                 mask: Mask(0b1000),
@@ -864,6 +897,13 @@ mod tests {
                 group: Group::new(Mask(0b101), vec![Value::Int(1), Value::Int(1)]),
                 dim: 2,
             },
+        ];
+        let misused = [
+            // A dimension past the mask's 32 bits is grouped nowhere.
+            Request::RollUp {
+                group: Group::new(Mask(0b01), one()),
+                dim: 40,
+            },
             Request::Point {
                 mask: Mask(0b11),
                 key: one(),
@@ -873,9 +913,18 @@ mod tests {
                 key: vec![Value::Int(1), Value::Int(2)],
             },
         ];
-        for req in refused {
+        for req in out_of_range.iter().chain(&misused) {
             let err = server.query(req.clone()).expect_err("typed refusal");
-            assert!(matches!(err, ServeError::BadRequest(_)), "{req:?}: {err:?}");
+            let ServeError::BadRequest(msg) = err else {
+                panic!("{req:?}: {err:?}");
+            };
+            // The store's own read path, before its cache, and the
+            // in-memory reference refuse a cuboid outside them alike.
+            if out_of_range.contains(req) {
+                let refused = Response::Failed(msg);
+                assert_eq!(answer(&*store, req), refused, "{req:?}");
+                assert_eq!(answer(&reference, req), refused, "{req:?}");
+            }
         }
         assert_eq!(
             server.query(Request::CuboidLen { mask: Mask(0b100) }),
@@ -892,9 +941,9 @@ mod tests {
                 "configuration error: point key has 1 values but cuboid m11 groups 2".into()
             ))
         );
-        // Refused before the fetch: no cache access, nothing served.
-        let stats = store.stats();
-        assert_eq!((stats.cache_misses, stats.cache_hits), (0, 0));
+        // Refused before the fetch, by the server and the store alike: no
+        // cache access, nothing served.
+        assert_eq!(store.stats(), StoreStats::default());
         assert_eq!(server.shutdown().served, 0);
     }
 
@@ -986,7 +1035,7 @@ mod tests {
         // Reopen the gate: everything accepted still gets answered.
         drop(closed);
         for rx in receivers {
-            assert_eq!(rx.recv().expect("answer"), Ok(Response::Len(1)));
+            assert_eq!(rx.recv().expect("answer").1, Ok(Response::Len(1)));
         }
         server.shutdown();
     }
@@ -1019,11 +1068,14 @@ mod tests {
         server.now_us(); // t+3000
         drop(closed);
         assert_eq!(
-            queued.recv().expect("typed reply"),
+            queued.recv().expect("typed reply").1,
             Err(ServeError::DeadlineExceeded),
             "expired request must be shed at dequeue, not answered"
         );
-        assert_eq!(wedged.recv().expect("wedged answer"), Ok(Response::Len(1)));
+        assert_eq!(
+            wedged.recv().expect("wedged answer").1,
+            Ok(Response::Len(1))
+        );
         let stats = server.shutdown();
         assert_eq!(stats.deadline_exceeded, 1);
         assert_eq!(stats.served, 1);
@@ -1048,7 +1100,7 @@ mod tests {
             .collect();
         let stats = server.shutdown();
         for rx in receivers {
-            assert_eq!(rx.recv().expect("answer"), Ok(Response::Len(3)));
+            assert_eq!(rx.recv().expect("answer").1, Ok(Response::Len(3)));
         }
         assert_eq!(stats.served, 20);
     }
@@ -1077,16 +1129,16 @@ mod tests {
         // get typed ShuttingDown replies immediately.
         let shutdown = std::thread::spawn(move || server.shutdown_with_grace(0));
         assert_eq!(
-            queued_a.recv().expect("typed reply"),
+            queued_a.recv().expect("typed reply").1,
             Err(ServeError::ShuttingDown)
         );
         assert_eq!(
-            queued_b.recv().expect("typed reply"),
+            queued_b.recv().expect("typed reply").1,
             Err(ServeError::ShuttingDown)
         );
         // The in-flight request still completes once the store unblocks.
         drop(closed);
-        assert_eq!(wedged.recv().expect("answer"), Ok(Response::Len(1)));
+        assert_eq!(wedged.recv().expect("answer").1, Ok(Response::Len(1)));
         let stats = shutdown.join().expect("shutdown join");
         assert_eq!(stats.served, 1);
     }

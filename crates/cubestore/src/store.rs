@@ -47,15 +47,15 @@ use std::sync::{Arc, Mutex};
 use spcube_agg::{AggOutput, AggSpec};
 use spcube_common::sync::lock_or_recover;
 use spcube_common::{Error, Group, Mask, Relation, Result, Value};
-use spcube_cubealg::{slice_slot, Cube, CubeRead};
+use spcube_cubealg::{check_cuboid, slice_slot, Cube, CubeRead};
 use spcube_obs::{flight_timed, names, Counter, FlightLabel, FlightName, ObsHandle, SpanId};
 
 use crate::blob::BlobStore;
 use crate::cache::SegmentCache;
 use crate::delta::merged_cuboid_obs;
 use crate::manifest::{
-    gen_manifest_path, manifest_path, parse_generation, quarantine_path, segment_path, Manifest,
-    ManifestEntry, StoreKind,
+    gen_manifest_path, manifest_path, next_generation, parse_generation, quarantine_path,
+    segment_path, Manifest, ManifestEntry, StoreKind,
 };
 use crate::recover::{recompute_cuboid, scan_store};
 use crate::segment::Segment;
@@ -63,7 +63,7 @@ use crate::segment::Segment;
 /// Default capacity (in decoded segments) of the hot-cuboid cache.
 pub const DEFAULT_CACHE_SEGMENTS: usize = 8;
 
-/// What [`write_store`] wrote.
+/// What one generation commit wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreWriteReport {
     /// Segments written (non-empty cuboids).
@@ -77,17 +77,14 @@ pub struct StoreWriteReport {
 }
 
 /// Persist `cube` under `prefix` as a new generation: one segment per
-/// non-empty cuboid, the generation's seal manifest, then the root
-/// manifest — the single atomic commit point. `d` is the source
-/// dimensionality; `spec` / `min_support` are recorded so a degraded
-/// reader can recompute a corrupt cuboid exactly as it was built.
+/// non-empty cuboid, committed by `commit_generation`. `d` is the
+/// source dimensionality; `spec` / `min_support` are recorded so a
+/// degraded reader can recompute a corrupt cuboid exactly as it was
+/// built.
 ///
 /// After the commit, generations older than the immediately previous one
 /// are garbage-collected (the previous one is kept so already-open
-/// readers keep answering through one rewrite). A crash anywhere before
-/// the root write leaves the old generation authoritative; a crash after
-/// it leaves the new one. An error after the root write (e.g. during GC)
-/// does *not* undo the commit.
+/// readers keep answering through one rewrite).
 pub fn write_store(
     blobs: &dyn BlobStore,
     prefix: &str,
@@ -96,9 +93,6 @@ pub fn write_store(
     spec: AggSpec,
     min_support: usize,
 ) -> Result<StoreWriteReport> {
-    // Next generation: one past anything ever written under the prefix,
-    // sealed or not, so an aborted commit never gets its dirty directory
-    // reused.
     let listing = blobs.list(prefix)?;
     // A full rebuild must not land on an incremental store: this GC keeps
     // only the previous generation, which would delete live delta layers
@@ -110,27 +104,60 @@ pub fn write_store(
              or write the rebuild under a fresh prefix"
         )));
     }
-    let generation = listing
-        .iter()
-        .filter_map(|(p, _)| parse_generation(prefix, p))
-        .max()
-        .unwrap_or(0)
-        + 1;
+    let generation = next_generation(prefix, &listing);
+    let header = Manifest {
+        d,
+        generation,
+        spec,
+        min_support,
+        kind: StoreKind::Output,
+        layers: Vec::new(),
+        batch_ids: Vec::new(),
+        entries: Vec::new(),
+    };
     // The cube's cuboids come in ascending mask order, each sorted by key,
     // so the output (blob sequence, manifest) is byte-identical across
     // runs and every segment is built from the cube's rows in place.
-    let mut entries = Vec::new();
-    let mut total_bytes = 0u64;
-    let mut total_rows = 0u64;
-    for (mask, rows) in cube.cuboids() {
+    let segments = cube.cuboids().map(|(mask, rows)| {
         let segment = Segment::from_sorted(d, mask, rows.iter().map(|(g, v)| (g.key.as_ref(), v)))?;
-        let encoded = segment.encode()?;
         let path = segment_path(prefix, generation, d, mask);
-        total_bytes += encoded.len() as u64;
-        total_rows += segment.len() as u64;
-        entries.push(ManifestEntry {
+        Ok((mask, segment.len(), path, segment.encode()?))
+    });
+    commit_generation(blobs, prefix, &listing, header, segments, |g| {
+        g + 1 >= generation
+    })
+}
+
+/// Commit one generation — a full rebuild or a delta layer alike (see
+/// `DESIGN.md`, "Crash-consistent generational commits"):
+///
+/// 1. put `segments` — each a cuboid's mask, row count, blob path and
+///    encoded bytes — in the order given;
+/// 2. put the generation's seal: `header` with one entry per segment;
+/// 3. put the root manifest — the single commit point;
+/// 4. delete each blob of `listing`, the pre-commit listing, whose
+///    generation `keep` rejects.
+///
+/// A crash anywhere before the root write leaves the previous commit
+/// authoritative; a crash after it leaves this one. An error after the
+/// root write (e.g. during GC) does *not* undo the commit.
+pub(crate) fn commit_generation(
+    blobs: &dyn BlobStore,
+    prefix: &str,
+    listing: &[(String, u64)],
+    mut header: Manifest,
+    segments: impl IntoIterator<Item = Result<(Mask, usize, String, Vec<u8>)>>,
+    keep: impl Fn(u64) -> bool,
+) -> Result<StoreWriteReport> {
+    let mut bytes = 0u64;
+    let mut rows = 0u64;
+    for segment in segments {
+        let (mask, n, path, encoded) = segment?;
+        bytes += encoded.len() as u64;
+        rows += n as u64;
+        header.entries.push(ManifestEntry {
             mask,
-            rows: u32::try_from(segment.len()).map_err(|_| {
+            rows: u32::try_from(n).map_err(|_| {
                 Error::Internal(format!(
                     "cuboid {mask} row count exceeds the manifest field"
                 ))
@@ -140,38 +167,31 @@ pub fn write_store(
         });
         blobs.put(&path, encoded)?;
     }
-    let manifest = Manifest {
-        d,
-        generation,
-        spec,
-        min_support,
-        kind: StoreKind::Output,
-        layers: Vec::new(),
-        batch_ids: Vec::new(),
-        entries,
-    };
-    let encoded = manifest.encode()?;
-    total_bytes += 2 * encoded.len() as u64;
+    let encoded = header.encode()?;
+    bytes += 2 * encoded.len() as u64;
     // Seal: the generation's own manifest, written after every segment.
-    blobs.put(&gen_manifest_path(prefix, generation), encoded.clone())?;
+    blobs.put(
+        &gen_manifest_path(prefix, header.generation),
+        encoded.clone(),
+    )?;
     // COMMIT POINT: one root-manifest write flips readers to the new
     // generation. Everything before this line is invisible to recovery;
     // everything after is cleanup.
     blobs.put(&manifest_path(prefix), encoded)?;
-    // GC: drop generations older than the previous one. The listing
-    // predates this commit, so only old blobs qualify. Listing order puts
-    // each generation's segments before its manifest, so a crash mid-GC
-    // leaves the victim unsealed (then quarantined), never half-sealed.
-    for (path, _) in &listing {
-        if parse_generation(prefix, path).is_some_and(|g| g + 1 < generation) {
+    // GC: the listing predates this commit, so only old blobs qualify.
+    // Listing order puts each generation's segments before its manifest,
+    // so a crash mid-GC leaves the victim unsealed (then quarantined),
+    // never half-sealed.
+    for (path, _) in listing {
+        if parse_generation(prefix, path).is_some_and(|g| !keep(g)) {
             blobs.delete(path)?;
         }
     }
     Ok(StoreWriteReport {
-        segments: manifest.entries.len(),
-        bytes: total_bytes,
-        rows: total_rows,
-        generation,
+        segments: header.entries.len(),
+        bytes,
+        rows,
+        generation: header.generation,
     })
 }
 
@@ -247,20 +267,12 @@ impl CubeStore {
     /// a typed error only when no complete generation exists at all.
     pub fn open(blobs: Arc<dyn BlobStore>, prefix: &str) -> Result<CubeStore> {
         let scan = scan_store(blobs.as_ref(), prefix)?;
-        let Some(chosen) = scan.chosen else {
+        let Some(manifest) = scan.chosen_manifest().cloned() else {
             return Err(Error::corrupt(
                 "store",
                 format!("no fully sealed generation under `{prefix}`"),
             ));
         };
-        let manifest = scan
-            .generations
-            .iter()
-            .find(|g| g.generation == chosen)
-            .and_then(|g| g.manifest.clone())
-            .ok_or_else(|| {
-                Error::Internal(format!("scan chose generation {chosen} without a manifest"))
-            })?;
         let mut torn_commits = 0;
         if scan.torn_root {
             torn_commits = 1;
@@ -272,16 +284,14 @@ impl CubeStore {
                 .and_then(|bytes| blobs.put(&manifest_path(prefix), bytes));
         }
         // A layered store needs every chain member's seal manifest; the
-        // scan already guaranteed each one is sealed (a chain with torn
-        // ancestors is never chosen).
+        // scan already decoded each one and guaranteed it is sealed (a
+        // chain with torn ancestors is never chosen).
         let mut layer_manifests = Vec::with_capacity(manifest.layers.len());
         if manifest.kind == StoreKind::State {
             for &g in &manifest.layers {
-                let layer = if g == manifest.generation {
-                    manifest.clone()
-                } else {
-                    Manifest::decode(&blobs.get(&gen_manifest_path(prefix, g))?)?
-                };
+                let layer = scan.sealed_manifest(g).cloned().ok_or_else(|| {
+                    Error::Internal(format!("scan chose a chain whose layer {g} is not sealed"))
+                })?;
                 if layer.d != manifest.d || layer.spec != manifest.spec {
                     return Err(Error::corrupt(
                         "store",
@@ -410,8 +420,11 @@ impl CubeStore {
     }
 
     /// The decoded segment for `mask`: cached, fetched, or — for a corrupt
-    /// or missing blob with a recovery relation attached — recomputed.
+    /// or missing blob with a recovery relation attached — recomputed. A
+    /// mask outside the store's dimensions is refused before the cache,
+    /// so it counts no hit or miss.
     pub fn segment(&self, mask: Mask) -> Result<Arc<Segment>> {
+        check_cuboid(mask, self.manifest.d)?;
         // Hoisted out of the scrutinee so the cache guard drops before
         // the hit path runs (clippy::significant_drop_in_scrutinee).
         let cached = lock_or_recover(&self.cache).get(mask);
@@ -438,9 +451,7 @@ impl CubeStore {
         }
         let Some(entry) = self.manifest.entry(mask) else {
             // Not materialized: the cuboid is empty (the writer skips
-            // empty cuboids), unless the mask is out of range entirely —
-            // which still answers "empty", matching CubeQuery on a cuboid
-            // it never saw.
+            // empty cuboids).
             return Ok(Segment::build(self.manifest.d, mask, Vec::new()));
         };
         // Fetch and decode are timed separately against the flight

@@ -90,8 +90,6 @@ define_names! {
     STORE_COMMIT_TORN = "store.commit.torn";
     /// An orphan blob was quarantined at open (event; labels: `path`).
     STORE_BLOB_QUARANTINED = "store.blob.quarantined";
-    /// A CrashPoint fired (event; labels: `op`, `path`, `torn`).
-    STORE_CRASH_INJECT = "store.crash.inject";
 
     /// Served query latency in microseconds (histogram).
     SERVE_QUERY_US = "serve.query.us";
@@ -107,8 +105,8 @@ define_names! {
     /// An open serve circuit breaker refused a query without reaching the
     /// server (counter + event; labels: `cuboid`).
     SERVE_BREAKER_SHED = "serve.breaker.shed";
-    /// FaultyBlobs injected a read fault (counter + event; labels: `kind`,
-    /// `path`).
+    /// FaultyBlobs injected a fault, a planned crash included (counter +
+    /// event; labels: `kind`, `op`, and `path` on the event).
     STORE_FAULT_INJECTED = "store.fault.injected";
 
     /// Live layer count of an incremental store (gauge).

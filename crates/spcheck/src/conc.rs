@@ -314,13 +314,13 @@ mod tests {
     fn r8_fires_on_unblessed_channel_and_bare_send() {
         let f = run(&[(
             "crates/x/src/ch.rs",
-            "fn go(tx: Sender<u32>) {\n    let (tx2, rx2) = mpsc::channel();\n    tx.send(1);\n    let _ = (tx2, rx2);\n}\n",
+            "fn go(tx: Sender<u32>) {\n    let (tx2, rx2) = mpsc::channel();\n    let (tx3, rx3) = mpsc::channel::<u32>();\n    tx.send(1);\n    let _ = (tx2, rx2, tx3, rx3);\n}\n",
         )]);
         let r8: Vec<_> = f
             .iter()
             .filter(|f| f.rule == RULE_CHANNEL_HYGIENE)
             .collect();
-        assert_eq!(r8.len(), 2, "{f:?}");
+        assert_eq!(r8.len(), 3, "{f:?}");
         assert!(r8[0].message.contains("unbounded") || r8[1].message.contains("unbounded"));
     }
 

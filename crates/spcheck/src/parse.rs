@@ -196,6 +196,33 @@ fn next_nonspace(bytes: &[u8], pos: usize) -> Option<(usize, u8)> {
         .map(|(i, &b)| (i, b))
 }
 
+/// Byte position just past a turbofish (`::<…>`) that starts at `pos`,
+/// or `pos` itself when none does.
+fn skip_turbofish(bytes: &[u8], pos: usize) -> usize {
+    if !bytes
+        .get(pos..)
+        .is_some_and(|rest| rest.starts_with(b"::<"))
+    {
+        return pos;
+    }
+    let mut depth = 0usize;
+    for (i, &b) in bytes.iter().enumerate().skip(pos + 2) {
+        match b {
+            b'<' => depth += 1,
+            // The `>` of a `->` in a fn-pointer type closes nothing.
+            b'>' if bytes[i - 1] != b'-' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            b';' | b'{' | b'}' => break,
+            _ => {}
+        }
+    }
+    pos
+}
+
 /// Byte position just past the `)` matching the `(` at `open`.
 fn match_paren(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0usize;
@@ -988,7 +1015,9 @@ fn walk_body(text: &str, start: usize, end: usize, ctx: &ResolveCtx<'_>) -> Vec<
                         }
                     }
                     _ => {
-                        let Some((open, b'(')) = next_nonspace(bytes, i) else {
+                        // `name::<T>(` is a call too: look past a turbofish.
+                        let Some((open, b'(')) = next_nonspace(bytes, skip_turbofish(bytes, i))
+                        else {
                             continue;
                         };
                         if open != i && bytes.get(i) == Some(&b'!') {

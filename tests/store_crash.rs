@@ -8,11 +8,13 @@
 //! complete old generation or the complete new one. Never a blend, never
 //! a wrong row, never a silent degrade.
 //!
-//! The crash schedules are derived from a recorded clean run by
-//! [`schedules`]: one boundary plan per operation plus torn-byte offsets
-//! inside every put (dense — every 256 bytes — inside manifest blobs,
-//! whose integrity is the commit point itself). Every plan is swept; a
-//! failure names the plan so it reproduces exactly.
+//! The crash schedules are derived by [`schedules`] from the writes a
+//! [`FaultyBlobs`] with the default schedule logged during a clean run:
+//! one boundary plan per operation plus torn-byte offsets inside every put
+//! (dense — every 256 bytes — inside manifest blobs, whose integrity is
+//! the commit point itself). Every plan is swept by a wrapper whose
+//! schedule carries it as its crash; a failure names the plan so it
+//! reproduces exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,8 +23,8 @@ use sp_cube_repro::agg::{AggOutput, AggSpec};
 use sp_cube_repro::common::{Error, Group, Mask, Relation, Schema, Value};
 use sp_cube_repro::cubealg::{buc, BucConfig, Cube, CubeQuery, CubeRead};
 use sp_cube_repro::cubestore::{
-    manifest_path, schedules, segment_path, write_store, BlobStore, CrashPlan, CrashPoint,
-    CubeStore, DirBlobs,
+    manifest_path, schedules, segment_path, write_store, BlobStore, CrashPlan, CubeStore, DirBlobs,
+    FaultSchedule, FaultyBlobs,
 };
 use sp_cube_repro::datagen;
 use sp_cube_repro::mapreduce::Dfs;
@@ -46,6 +48,17 @@ fn truth_of(cube: &Cube, d: usize) -> Truth {
         .collect()
 }
 
+/// A wrapper over `inner` that crashes per `plan`.
+fn crash_at(inner: Arc<dyn BlobStore>, plan: CrashPlan) -> FaultyBlobs {
+    FaultyBlobs::new(
+        inner,
+        FaultSchedule {
+            crash: Some(plan),
+            ..FaultSchedule::default()
+        },
+    )
+}
+
 /// Assert `store` answers every cuboid bit-identically to `want`.
 fn assert_matches(store: &CubeStore, want: &Truth, plan: CrashPlan) {
     for (mask, rows) in want {
@@ -67,7 +80,7 @@ fn crash_and_reopen(
     expect: &BTreeMap<u64, &Truth>,
 ) -> u64 {
     let fork = Arc::new(base.fork());
-    let armed = CrashPoint::armed(Arc::clone(&fork) as Arc<dyn BlobStore>, plan);
+    let armed = crash_at(Arc::clone(&fork) as Arc<dyn BlobStore>, plan);
     let err = match write_store(&armed, "c", cube, d, AggSpec::Count, 1) {
         Ok(_) => panic!("plan {plan:?}: armed write did not crash"),
         Err(e) => e,
@@ -80,7 +93,7 @@ fn crash_and_reopen(
         !err.is_data_loss(),
         "plan {plan:?}: injected crash classified as data loss"
     );
-    assert!(armed.crashed(), "plan {plan:?}: crash flag not set");
+    assert_eq!(armed.stats().crash, 1, "plan {plan:?}: crash not counted");
 
     let store = CubeStore::open(fork as Arc<dyn BlobStore>, "c")
         .unwrap_or_else(|e| panic!("plan {plan:?}: reopen after crash failed: {e}"));
@@ -104,11 +117,11 @@ fn crash_and_reopen(
 /// crash schedules from its operation log.
 fn plans_for(base: &Dfs, cube: &Cube, d: usize) -> Vec<CrashPlan> {
     let fork = Arc::new(base.fork());
-    let recorder = CrashPoint::record(fork as Arc<dyn BlobStore>);
+    let recorder = FaultyBlobs::new(fork as Arc<dyn BlobStore>, FaultSchedule::default());
     write_store(&recorder, "c", cube, d, AggSpec::Count, 1).expect("clean recording write");
-    let oplog = recorder.oplog();
-    assert!(!oplog.is_empty(), "a store write must log operations");
-    schedules(&oplog)
+    let writes = recorder.writes();
+    assert!(!writes.is_empty(), "a store write must log operations");
+    schedules(&writes)
 }
 
 /// The tentpole sweep: generation 1 is committed, generation 2 crashes at
@@ -195,15 +208,15 @@ fn dirblobs_sweep_recovers_on_the_real_filesystem() {
     let record_dir = root.join("record");
     let blobs = Arc::new(DirBlobs::new(&record_dir));
     write_store(blobs.as_ref(), "c", &cube_a, d, AggSpec::Count, 1).expect("seed");
-    let recorder = CrashPoint::record(blobs as Arc<dyn BlobStore>);
+    let recorder = FaultyBlobs::new(blobs as Arc<dyn BlobStore>, FaultSchedule::default());
     write_store(&recorder, "c", &cube_b, d, AggSpec::Count, 1).expect("recording write");
-    let plans = schedules(&recorder.oplog());
+    let plans = schedules(&recorder.writes());
 
     for (i, plan) in plans.into_iter().enumerate() {
         let dir = root.join(format!("plan-{i}"));
         let blobs = Arc::new(DirBlobs::new(&dir));
         write_store(blobs.as_ref(), "c", &cube_a, d, AggSpec::Count, 1).expect("seed");
-        let armed = CrashPoint::armed(Arc::clone(&blobs) as Arc<dyn BlobStore>, plan);
+        let armed = crash_at(Arc::clone(&blobs) as Arc<dyn BlobStore>, plan);
         write_store(&armed, "c", &cube_b, d, AggSpec::Count, 1)
             .expect_err("armed write must crash");
         let store = CubeStore::open(blobs as Arc<dyn BlobStore>, "c")

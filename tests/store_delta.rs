@@ -26,8 +26,8 @@ use sp_cube_repro::agg::{AggOutput, AggSpec};
 use sp_cube_repro::common::{Error, Group, Mask, Relation, Schema, Value};
 use sp_cube_repro::cubealg::{naive_cube, Cube, CubeQuery, CubeRead};
 use sp_cube_repro::cubestore::{
-    compact, ingest_batch, schedules, BlobStore, CompactionPolicy, CrashPlan, CrashPoint,
-    CubeStore, DirBlobs,
+    compact, ingest_batch, schedules, BlobStore, CompactionPolicy, CrashPlan, CubeStore, DirBlobs,
+    FaultSchedule, FaultyBlobs,
 };
 use sp_cube_repro::datagen;
 use sp_cube_repro::mapreduce::Dfs;
@@ -75,6 +75,17 @@ fn split(rel: &Relation, at: &[usize]) -> Vec<Relation> {
     parts
 }
 
+/// A wrapper over `inner` that crashes per `plan`.
+fn crash_at(inner: Arc<dyn BlobStore>, plan: CrashPlan) -> FaultyBlobs {
+    FaultyBlobs::new(
+        inner,
+        FaultSchedule {
+            crash: Some(plan),
+            ..FaultSchedule::default()
+        },
+    )
+}
+
 /// Assert `store` answers every cuboid bit-identically to `want`.
 fn assert_matches(store: &CubeStore, want: &Truth, plan: CrashPlan) {
     for (mask, rows) in want {
@@ -100,7 +111,7 @@ fn crash_and_reopen(
     expect: &BTreeMap<u64, (&[u64], &Truth)>,
 ) -> u64 {
     let fork = Arc::new(base.fork());
-    let armed = CrashPoint::armed(Arc::clone(&fork) as Arc<dyn BlobStore>, plan);
+    let armed = crash_at(Arc::clone(&fork) as Arc<dyn BlobStore>, plan);
     let err = match op(&armed) {
         Ok(()) => panic!("plan {plan:?}: armed delta operation did not crash"),
         Err(e) => e,
@@ -113,7 +124,7 @@ fn crash_and_reopen(
         !err.is_data_loss(),
         "plan {plan:?}: injected crash classified as data loss"
     );
-    assert!(armed.crashed(), "plan {plan:?}: crash flag not set");
+    assert_eq!(armed.stats().crash, 1, "plan {plan:?}: crash not counted");
 
     let store = CubeStore::open(fork as Arc<dyn BlobStore>, "inc")
         .unwrap_or_else(|e| panic!("plan {plan:?}: reopen after crash failed: {e}"));
@@ -137,11 +148,11 @@ fn crash_and_reopen(
 /// schedules from its operation log.
 fn plans_for(base: &Dfs, op: &dyn Fn(&dyn BlobStore) -> Result<(), Error>) -> Vec<CrashPlan> {
     let fork = Arc::new(base.fork());
-    let recorder = CrashPoint::record(fork as Arc<dyn BlobStore>);
+    let recorder = FaultyBlobs::new(fork as Arc<dyn BlobStore>, FaultSchedule::default());
     op(&recorder).expect("clean recording run");
-    let oplog = recorder.oplog();
-    assert!(!oplog.is_empty(), "a delta commit must log operations");
-    schedules(&oplog)
+    let writes = recorder.writes();
+    assert!(!writes.is_empty(), "a delta commit must log operations");
+    schedules(&writes)
 }
 
 /// The ingest sweep: a two-layer store takes a third batch, crashing at
@@ -277,14 +288,14 @@ fn dirblobs_ingest_sweep_recovers_on_the_real_filesystem() {
     // Record the second ingest's operation log once, on a throwaway dir.
     let blobs = Arc::new(DirBlobs::new(root.join("record")));
     ingest_batch(blobs.as_ref(), "inc", &parts[0], AggSpec::Avg).expect("seed");
-    let recorder = CrashPoint::record(blobs as Arc<dyn BlobStore>);
+    let recorder = FaultyBlobs::new(blobs as Arc<dyn BlobStore>, FaultSchedule::default());
     ingest_batch(&recorder, "inc", &parts[1], AggSpec::Avg).expect("recording run");
-    let plans = schedules(&recorder.oplog());
+    let plans = schedules(&recorder.writes());
 
     for (i, plan) in plans.into_iter().enumerate() {
         let blobs = Arc::new(DirBlobs::new(root.join(format!("plan-{i}"))));
         ingest_batch(blobs.as_ref(), "inc", &parts[0], AggSpec::Avg).expect("seed");
-        let armed = CrashPoint::armed(Arc::clone(&blobs) as Arc<dyn BlobStore>, plan);
+        let armed = crash_at(Arc::clone(&blobs) as Arc<dyn BlobStore>, plan);
         ingest_batch(&armed, "inc", &parts[1], AggSpec::Avg).expect_err("armed ingest must crash");
         let store = CubeStore::open(blobs as Arc<dyn BlobStore>, "inc")
             .unwrap_or_else(|e| panic!("plan {plan:?}: reopen failed: {e}"));
