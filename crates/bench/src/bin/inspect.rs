@@ -44,20 +44,21 @@
 //! `(seed, path, read index)`.
 //!
 //! The `trace` view runs SP-Cube with the observability layer on the
-//! deterministic mock clock and renders the span tree — both rounds with
-//! per-task timings, retry/speculation events, and the slowest
-//! root-to-leaf path flagged — followed by the metrics snapshot. With
-//! `--validate` it additionally re-parses the JSONL trace and exits
-//! non-zero if reconstruction finds unclosed spans, dangling parents, or
-//! malformed records.
+//! deterministic mock clock and renders its flight traces — one per
+//! round, split into map and reduce phases, with retry/speculation
+//! events and the slowest root-to-leaf path flagged — then each round's
+//! per-task simulated seconds and the metrics snapshot. With
+//! `--validate` it additionally exits non-zero if reconstruction finds
+//! unclosed spans, dangling parents, or malformed records.
 //!
 //! The `flight` view reads a flight-recorder JSONL file (what
 //! `spcube serve-bench --profile --flight-out` persists: only the traces
-//! the tail sampler kept), groups records by trace id, and renders the
-//! slowest traces with per-phase self-times — queue-wait, blob-IO,
-//! decode, merge, finalize — plus the full span tree of the single
-//! slowest one. A truncated final line (a torn tail from a crashed
-//! writer) is reported as a warning, not a failure.
+//! the tail sampler kept; or what `spcube cube --trace` writes: one
+//! trace per round), splits it per trace id, and renders the slowest
+//! traces with per-phase self-times — queue-wait, blob-IO, decode,
+//! merge, finalize — plus the full span tree of the single slowest one.
+//! A truncated final line (a torn tail from a crashed writer) is
+//! reported as a warning, not a failure.
 //!
 //! The `lockgraph` view runs the spcheck concurrency analyzer over the
 //! workspace (default root `.`) and renders the lock-acquisition graph:
@@ -282,7 +283,7 @@ fn inspect_trace(args: &[String]) {
         run.metrics.total_seconds()
     );
 
-    let jsonl = obs.trace_jsonl();
+    let jsonl = obs.flight_jsonl();
     let tree = match SpanTree::parse_jsonl(&jsonl) {
         Ok(tree) => tree,
         Err(e) => {
@@ -297,6 +298,16 @@ fn inspect_trace(args: &[String]) {
         eprintln!("warning: {w}");
     }
     println!("\n{}", tree.render());
+    // Per-task simulated seconds live in the run's metrics; the trace
+    // splits each round's wall time into its map and reduce phases.
+    println!("per-task simulated seconds:");
+    for round in &run.metrics.rounds {
+        for (phase, times) in [("map", &round.map_times), ("reduce", &round.reduce_times)] {
+            let secs: Vec<String> = times.iter().map(|s| format!("{s:.3}")).collect();
+            println!("  {:<10} {phase:<6} sim_s [{}]", round.name, secs.join(" "));
+        }
+    }
+    println!();
     println!("{}", obs.prometheus());
     if validate {
         match tree.validate() {
@@ -333,68 +344,42 @@ fn inspect_flight(args: &[String]) {
         }
     };
 
-    // Group records by their "trace":N field; each group is one query.
-    // A crashed writer can leave the file's final line truncated: when
-    // the file has no trailing newline and the last line is not a
-    // complete `{..}` record, skip it with a warning — mirroring the
-    // torn-tail tolerance of `SpanTree::parse_jsonl`. Anything else
-    // malformed is a structural error.
-    let mut torn_tail = false;
-    let mut groups: BTreeMap<u64, String> = BTreeMap::new();
-    let mut lines: Vec<&str> = input.lines().collect();
-    if !input.ends_with('\n') && lines.last().is_some_and(|l| !l.trim_end().ends_with('}')) {
-        torn_tail = true; // a crashed writer's half-record
-        lines.pop();
-    }
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let id = line
-            .split("\"trace\":")
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}']).next())
-            .and_then(|digits| digits.trim().parse::<u64>().ok());
-        let Some(id) = id else {
-            eprintln!("flight: record {} has no trace id: {line}", i + 1);
+    // One span tree per trace id. A torn final line (a crashed writer's
+    // half-record) is a warning; anything else malformed, a record
+    // without a trace id included, is a structural error.
+    let (groups, warnings) = match SpanTree::parse_per_trace(&input) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("flight: {path}: {e}");
             std::process::exit(1);
-        };
-        let group = groups.entry(id).or_default();
-        group.push_str(line);
-        group.push('\n');
-    }
-    if torn_tail {
-        eprintln!(
-            "warning: torn tail: skipped truncated final line {}",
-            lines.len() + 1
-        );
+        }
+    };
+    for w in &warnings {
+        eprintln!("warning: {w}");
     }
     if groups.is_empty() {
         println!("no flight traces in {path} (nothing was tail-sampled in)");
         return;
     }
 
+    // A query's latency split: queue-wait, blob-IO, decode, merge and
+    // finalize (a build round's trace has none of these spans).
+    let phases = [
+        names::SERVE_PHASE_QUEUE_WAIT,
+        names::STORE_FLIGHT_BLOB_IO,
+        names::STORE_FLIGHT_DECODE,
+        names::STORE_FLIGHT_MERGE,
+        names::SERVE_PHASE_FINALIZE,
+    ];
     struct Row {
         id: u64,
         total: u64,
-        queue: u64,
-        io: u64,
-        decode: u64,
-        merge: u64,
-        finalize: u64,
+        phases: [u64; 5],
         events: usize,
         tree: SpanTree,
     }
     let mut rows: Vec<Row> = Vec::new();
-    for (id, jsonl) in &groups {
-        let tree = match SpanTree::parse_jsonl(jsonl) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("flight: trace {id} failed to parse: {e}");
-                std::process::exit(1);
-            }
-        };
+    for (id, tree) in groups {
         if let Err(problems) = tree.validate() {
             eprintln!("flight: trace {id} is structurally broken:");
             for p in &problems {
@@ -408,17 +393,13 @@ fn inspect_flight(args: &[String]) {
                 .map(|s| s.end_us.unwrap_or(s.start_us).saturating_sub(s.start_us))
                 .sum()
         };
-        let events =
-            tree.root_events.len() + tree.nodes.iter().map(|n| n.events.len()).sum::<usize>();
         rows.push(Row {
-            id: *id,
-            total: phase(names::SERVE_PHASE_TOTAL),
-            queue: phase(names::SERVE_PHASE_QUEUE_WAIT),
-            io: phase(names::STORE_FLIGHT_BLOB_IO),
-            decode: phase(names::STORE_FLIGHT_DECODE),
-            merge: phase(names::STORE_FLIGHT_MERGE),
-            finalize: phase(names::SERVE_PHASE_FINALIZE),
-            events,
+            id,
+            // The root span: a query's `serve.phase.total`, or a build
+            // round's `engine.round`.
+            total: tree.roots.iter().map(|&r| tree.total_us(r)).sum(),
+            phases: phases.map(phase),
+            events: tree.nodes.iter().map(|n| n.events.len()).sum(),
             tree,
         });
     }
@@ -434,10 +415,8 @@ fn inspect_flight(args: &[String]) {
         "trace", "total", "queue", "blob_io", "decode", "merge", "finalize", "events"
     );
     for r in rows.iter().take(top) {
-        println!(
-            "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
-            r.id, r.total, r.queue, r.io, r.decode, r.merge, r.finalize, r.events
-        );
+        let phases: String = r.phases.iter().map(|us| format!(" {us:>10}")).collect();
+        println!("{:>10} {:>10}{phases} {:>7}", r.id, r.total, r.events);
     }
     if let Some(slowest) = rows.first() {
         println!("\nslowest trace {}:", slowest.id);

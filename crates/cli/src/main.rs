@@ -91,8 +91,8 @@ COMMANDS
        [--min-support S] [--out DIR] [--trace FILE] [--metrics FILE]
       Compute the cube. Algorithms: spcube, pig, hive, naive, topdown.
       Aggregates: count, sum, min, max, avg, count_distinct.
-      --trace writes the run's span/event trace as JSONL; --metrics
-      writes a Prometheus-style snapshot of all instruments.
+      --trace writes one flight trace per MapReduce round as JSONL;
+      --metrics writes a Prometheus-style snapshot of all instruments.
   cuboid FILE --mask BITS [--agg F] [--top N]
       Compute just one cuboid view (via a full sequential cube) and print
       its largest groups.
@@ -306,9 +306,9 @@ fn cube(args: &Args) -> Result<()> {
         println!("wrote {} cuboid files under {dir}/", paths.len());
     }
     if let Some(path) = args.get("trace") {
-        std::fs::write(path, obs.trace_jsonl())
+        std::fs::write(path, obs.flight_jsonl())
             .map_err(|e| Error::Io(format!("writing {path}"), e))?;
-        println!("wrote span/event trace (JSONL) to {path}");
+        println!("wrote flight trace (JSONL, one trace per round) to {path}");
     }
     if let Some(path) = args.get("metrics") {
         std::fs::write(path, obs.prometheus())
@@ -895,9 +895,13 @@ mod tests {
         ]))
         .unwrap();
         let jsonl = std::fs::read_to_string(&trace).unwrap();
-        let tree = spcube_obs::SpanTree::parse_jsonl(&jsonl).unwrap();
-        tree.validate().unwrap();
-        assert!(!tree.spans_named(spcube_obs::names::ENGINE_ROUND).is_empty());
+        let (rounds, warnings) = spcube_obs::SpanTree::parse_per_trace(&jsonl).unwrap();
+        assert!(warnings.is_empty());
+        assert_eq!(rounds.len(), 2, "one flight trace per SP-Cube round");
+        for (_, tree) in &rounds {
+            tree.validate().unwrap();
+            assert_eq!(tree.spans_named(spcube_obs::names::ENGINE_ROUND).len(), 1);
+        }
         assert!(std::fs::read_to_string(&metrics)
             .unwrap()
             .contains("spcube_reducer_imbalance"));

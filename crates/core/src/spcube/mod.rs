@@ -31,7 +31,7 @@ use spcube_agg::{AggOutput, AggSpec, AggState};
 use spcube_common::{Error, Mask, Relation, Result};
 use spcube_cubealg::Cube;
 use spcube_mapreduce::{run_job, ClusterConfig, Dfs, RunMetrics, Stopwatch};
-use spcube_obs::{names, SpanId};
+use spcube_obs::names;
 
 use crate::sketch::{
     build_exact_sketch, build_sampled_sketch, build_sketch_from, SketchConfig, SpSketch,
@@ -266,7 +266,7 @@ impl SpCube {
         };
         if sketch.is_none() {
             result.metrics.fallback_events = 1;
-            obs.event(names::SPCUBE_DEGRADED, SpanId::ROOT, &[]);
+            obs.inc(names::SPCUBE_DEGRADED, &[]);
         }
         if obs.enabled() {
             // Per-reducer tuple load and the max/mean imbalance ratio over
@@ -430,14 +430,6 @@ impl SpCube {
             obs.add(names::STORE_DELTA_ROWS, &[], report.rows);
             obs.hist_record(names::STORE_DELTA_INGEST_US, &[], t0.seconds() * 1e6);
             obs.gauge_set(names::STORE_LAYER_COUNT, &[], report.layers.len() as f64);
-            obs.event(
-                names::STORE_DELTA_INGEST,
-                SpanId::ROOT,
-                &[
-                    ("generation", report.generation.to_string()),
-                    ("layers", report.layers.len().to_string()),
-                ],
-            );
         }
         Ok(SpCubeIngestRun {
             report,

@@ -14,6 +14,7 @@ use spcube_agg::AggOutput;
 use spcube_common::{Error, Group, Mask, Result, Value};
 
 use crate::cube::Cube;
+use crate::read::check_dim;
 
 /// A cuboid-indexed view over a [`Cube`].
 #[derive(Debug)]
@@ -83,8 +84,10 @@ impl<'a> CubeQuery<'a> {
 
     /// Drill down: from a group `g`, the refined groups of the cuboid that
     /// additionally groups `dim` (Observation 2.5 read upward). Returns the
-    /// groups of `g.mask + dim` that project back to `g`.
+    /// groups of `g.mask + dim` that project back to `g`. `dim` must be a
+    /// dimension of the cube that `g` does not group.
     pub fn drill_down(&self, g: &Group, dim: usize) -> Result<Vec<(&'a Group, &'a AggOutput)>> {
+        check_dim(dim, self.d)?;
         if g.mask.contains(dim) {
             return Err(Error::Config(format!(
                 "group already grouped on dimension {dim}"
@@ -232,6 +235,10 @@ mod tests {
         let total: f64 = refined.iter().map(|(_, v)| v.number()).sum();
         assert_eq!(total, 4400.0);
         assert!(q.drill_down(&g, 0).is_err());
+        // A dimension outside the 3-d cube is refused, never shifted.
+        for dim in [3, 40] {
+            assert!(q.drill_down(&g, dim).is_err(), "dim {dim}");
+        }
     }
 
     #[test]

@@ -58,8 +58,9 @@ pub trait CubeRead {
     }
 
     /// Drill down: the groups of `g.mask + dim` that project back to `g`.
-    /// Errors if `dim` is already grouped in `g`.
+    /// Errors if `dim` is outside the cube or already grouped in `g`.
     fn drill_down(&self, g: &Group, dim: usize) -> Result<Vec<(Group, AggOutput)>> {
+        check_dim(dim, self.dims())?;
         if g.mask.contains(dim) {
             return Err(Error::Config(format!(
                 "group already grouped on dimension {dim}"
@@ -108,6 +109,19 @@ pub fn check_cuboid(mask: Mask, dims: usize) -> Result<()> {
     } else {
         Err(Error::Config(format!(
             "cuboid {mask} is outside the store's {dims} dimensions"
+        )))
+    }
+}
+
+/// `Ok` when `dim` is a dimension of a `dims`-dimensional cube, or the
+/// shared out-of-range error: a drill-down never builds a mask past the
+/// cube (nor shifts past a mask's bits).
+pub(crate) fn check_dim(dim: usize, dims: usize) -> Result<()> {
+    if dim < dims {
+        Ok(())
+    } else {
+        Err(Error::Config(format!(
+            "dimension {dim} is outside the cube's {dims} dimensions"
         )))
     }
 }
@@ -217,6 +231,10 @@ mod tests {
         let down = read.drill_down(&g, 1).expect("drill");
         assert_eq!(down.len(), q.drill_down(&g, 1).expect("drill").len());
         assert!(read.drill_down(&g, 0).is_err());
+        // A dimension outside the 3-d cube is refused, never shifted.
+        for dim in [3, 40] {
+            assert!(read.drill_down(&g, dim).is_err(), "dim {dim}");
+        }
 
         let fine = Group::new(Mask(0b011), vec![Value::Int(1), Value::Int(1)]);
         let (coarse, v) = read.roll_up(&fine, 1).expect("roll").expect("group");

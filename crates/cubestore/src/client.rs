@@ -31,8 +31,9 @@
 //! scrubber's job.
 //!
 //! Every decision is observable: `serve.hedge.fired`, `serve.hedge.won`,
-//! `serve.breaker.open`, and `serve.breaker.shed` counters/events match
-//! [`ClientStats`] exactly.
+//! `serve.breaker.open`, and `serve.breaker.shed` counters match
+//! [`ClientStats`] exactly, and each is a flight event in the trace of
+//! a profiled query it happens to.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +45,6 @@ use spcube_common::sync::lock_or_recover;
 use spcube_common::{Error, Mask, Result};
 use spcube_obs::{
     names, FlightLabel, FlightName, FlightRec, Histogram, ObsHandle, PhaseBreakdown, QueryCtx,
-    SpanId,
 };
 
 use crate::server::{
@@ -358,7 +358,6 @@ impl ResilientClient {
         if attempt == Attempt::Hedge {
             self.hedges_won.fetch_add(1, Ordering::Relaxed);
             self.obs.inc(names::SERVE_HEDGE_WON, &[]);
-            self.obs.event(names::SERVE_HEDGE_WON, SpanId::ROOT, &[]);
             self.flight_event(ctx, FlightName::HedgeWon, None);
         }
         outcome
@@ -383,7 +382,6 @@ impl ResilientClient {
         }
         self.hedges_fired.fetch_add(1, Ordering::Relaxed);
         self.obs.inc(names::SERVE_HEDGE_FIRED, &[]);
-        self.obs.event(names::SERVE_HEDGE_FIRED, SpanId::ROOT, &[]);
         self.flight_event(ctx, FlightName::HedgeFired, None);
     }
 
@@ -463,11 +461,6 @@ impl ResilientClient {
         if opened {
             self.breaker_opens.fetch_add(1, Ordering::Relaxed);
             self.obs.inc(names::SERVE_BREAKER_OPEN, &[]);
-            self.obs.event(
-                names::SERVE_BREAKER_OPEN,
-                SpanId::ROOT,
-                &[("cuboid", mask.0.to_string())],
-            );
         }
         opened
     }
@@ -482,11 +475,6 @@ impl ResilientClient {
     fn shed(&self, mask: Mask) -> Response {
         self.shed.fetch_add(1, Ordering::Relaxed);
         self.obs.inc(names::SERVE_BREAKER_SHED, &[]);
-        self.obs.event(
-            names::SERVE_BREAKER_SHED,
-            SpanId::ROOT,
-            &[("cuboid", mask.0.to_string())],
-        );
         Response::Failed(format!("circuit breaker open for cuboid {mask}"))
     }
 }

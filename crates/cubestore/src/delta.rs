@@ -80,7 +80,7 @@ use spcube_agg::{AggOutput, AggSpec, AggState};
 use spcube_common::retry::Backoff;
 use spcube_common::sync::lock_or_recover;
 use spcube_common::{Error, Mask, Relation, Result, Value};
-use spcube_obs::{flight_timed, names, FlightLabel, FlightName, ObsHandle, SpanId, Stopwatch};
+use spcube_obs::{flight_timed, names, FlightLabel, FlightName, ObsHandle, Stopwatch};
 
 use crate::blob::BlobStore;
 use crate::codec::{
@@ -585,14 +585,6 @@ impl Compactor {
             .add(names::STORE_COMPACT_FOLDED, &[], folded.len() as u64);
         self.obs
             .hist_record(names::STORE_COMPACT_US, &[], t0.seconds() * 1e6);
-        self.obs.event(
-            names::STORE_COMPACT_RUN,
-            SpanId::ROOT,
-            &[
-                ("generation", report.generation.to_string()),
-                ("folded", folded.len().to_string()),
-            ],
-        );
         self.obs
             .gauge_set(names::STORE_LAYER_COUNT, &[], report.layers.len() as f64);
         Ok(Some(CompactReport {
@@ -733,7 +725,7 @@ impl IngestSession {
     /// retryable failures with backoff. On success the outcome is either
     /// a fresh commit or a typed duplicate.
     pub fn ingest_with_id(&self, batch: &Relation, batch_id: u64) -> Result<IngestOutcome> {
-        let outcome = self.with_retries("ingest", || {
+        let outcome = self.with_retries(|| {
             ingest_batch_with_id(
                 self.blobs.as_ref(),
                 &self.prefix,
@@ -745,18 +737,10 @@ impl IngestSession {
         let mut stats = lock_or_recover(&self.stats);
         match &outcome {
             IngestOutcome::Applied(_) => stats.applied += 1,
-            IngestOutcome::AlreadyApplied { generation, .. } => {
+            IngestOutcome::AlreadyApplied { .. } => {
                 stats.deduped += 1;
                 drop(stats);
                 self.obs.inc(names::STORE_INGEST_DEDUP, &[]);
-                self.obs.event(
-                    names::STORE_INGEST_DEDUP,
-                    SpanId::ROOT,
-                    &[
-                        ("batch_id", batch_id.to_string()),
-                        ("generation", generation.to_string()),
-                    ],
-                );
             }
         }
         Ok(outcome)
@@ -765,9 +749,7 @@ impl IngestSession {
     /// Run one compaction pass under the session's retry policy.
     pub fn compact(&self, policy: &CompactionPolicy) -> Result<Option<CompactReport>> {
         let compactor = Compactor::new(policy.clone()).with_obs(self.obs.clone());
-        let report = self.with_retries("compact", || {
-            compactor.run(self.blobs.as_ref(), &self.prefix)
-        })?;
+        let report = self.with_retries(|| compactor.run(self.blobs.as_ref(), &self.prefix))?;
         if report.is_some() {
             lock_or_recover(&self.stats).compactions += 1;
         }
@@ -783,17 +765,12 @@ impl IngestSession {
     /// retryable errors and sleeping out the jittered backoff between
     /// attempts (skipped under a mock obs clock so chaos tests stay
     /// instant).
-    fn with_retries<T>(&self, label: &str, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    fn with_retries<T>(&self, mut op: impl FnMut() -> Result<T>) -> Result<T> {
         let mut last: Option<Error> = None;
         for attempt in 1..=self.config.max_attempts {
             if attempt > 1 {
                 lock_or_recover(&self.stats).retries += 1;
                 self.obs.inc(names::STORE_INGEST_RETRY, &[]);
-                self.obs.event(
-                    names::STORE_INGEST_RETRY,
-                    SpanId::ROOT,
-                    &[("attempt", attempt.to_string()), ("op", label.to_string())],
-                );
                 self.backoff_sleep(attempt - 1);
             }
             match op() {

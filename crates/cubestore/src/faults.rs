@@ -77,7 +77,7 @@ use std::sync::{Arc, Mutex};
 
 use spcube_common::sync::lock_or_recover;
 use spcube_common::{Error, Result};
-use spcube_obs::{ctx as flightctx, names, FlightLabel, FlightName, FlightRec, ObsHandle, SpanId};
+use spcube_obs::{ctx as flightctx, names, FlightLabel, FlightName, FlightRec, ObsHandle};
 
 use crate::blob::{BlobStore, TMP_SUFFIX};
 
@@ -424,9 +424,10 @@ impl FaultyBlobs {
         }
     }
 
-    /// Attach an observability handle; injected faults emit
-    /// [`names::STORE_FAULT_INJECTED`] counters and events, and a
-    /// mock-clock handle suppresses real latency-spike sleeps.
+    /// Attach an observability handle; injected faults bump
+    /// [`names::STORE_FAULT_INJECTED`] counters (and are flight events
+    /// inside a recorded query), and a mock-clock handle suppresses real
+    /// latency-spike sleeps.
     pub fn with_obs(mut self, obs: ObsHandle) -> FaultyBlobs {
         self.obs = obs;
         self
@@ -507,27 +508,17 @@ impl FaultyBlobs {
         Ok(fault.map(|kind| (kind, n)))
     }
 
-    /// Emit the obs counter + event (and, inside a profiled query, the
-    /// flight event) for a recorded fault. ObsHandle takes its own
-    /// registry/trace locks, so this must never nest under the
-    /// `faults.state` guard.
-    fn emit(&self, op: OpKind, path: &str, kind: FaultKind) {
-        // Counter keyed by (op, kind) only (so per-kind counts are
-        // assertable against stats); the event carries the path too.
+    /// Emit the obs counter (and, inside a profiled query, the flight
+    /// event) for a recorded fault. ObsHandle takes its own registry
+    /// lock, so this must never nest under the `faults.state` guard.
+    fn emit(&self, op: OpKind, kind: FaultKind) {
+        // Counter keyed by (op, kind), so per-kind counts are assertable
+        // against stats.
         self.obs.inc(
             names::STORE_FAULT_INJECTED,
             &[
                 ("kind", kind.name().to_string()),
                 ("op", op.name().to_string()),
-            ],
-        );
-        self.obs.event(
-            names::STORE_FAULT_INJECTED,
-            SpanId::ROOT,
-            &[
-                ("kind", kind.name().to_string()),
-                ("op", op.name().to_string()),
-                ("path", path.to_string()),
             ],
         );
         // If a profiled query's context is scoped on this thread, the
@@ -550,7 +541,7 @@ impl FaultyBlobs {
 
     /// Emit a fired fault and return the error it fails its op with.
     fn inject(&self, op: OpKind, path: &str, (kind, n): (FaultKind, u32)) -> Error {
-        self.emit(op, path, kind);
+        self.emit(op, kind);
         Error::Injected(format!(
             "fault: {} on {} {n} of {path}",
             kind.name(),
@@ -596,7 +587,7 @@ impl BlobStore for FaultyBlobs {
         match self.decide(OpKind::Read, path, 0)? {
             None => self.inner.get(path),
             Some((FaultKind::Latency, _)) => {
-                self.emit(OpKind::Read, path, FaultKind::Latency);
+                self.emit(OpKind::Read, FaultKind::Latency);
                 // Sleep outside the lock so concurrent clean reads don't
                 // queue behind an injected spike. Mock-clock runs skip the
                 // real sleep.
@@ -963,10 +954,18 @@ mod tests {
             },
         )
         .with_obs(obs.clone());
-        for _ in 0..25 {
-            let _ = fb.get("s/a.cseg");
-            let _ = fb.put("s/a.cseg", vec![1, 2, 3]);
-        }
+        // Inside a recorded query every fault is also a flight event.
+        let query = obs.flight_begin().expect("enabled");
+        flightctx::scope(&query, || {
+            for _ in 0..25 {
+                let _ = fb.get("s/a.cseg");
+                let _ = fb.put("s/a.cseg", vec![1, 2, 3]);
+            }
+        });
+        assert!(
+            obs.flight_finish(&query, 0, 1, true, false),
+            "errored: kept"
+        );
         let stats = fb.stats();
         assert!(stats.read_failures() > 0);
         assert!(stats.put_failures() > 0);
@@ -991,11 +990,12 @@ mod tests {
                 kind.name()
             );
         }
-        let tree = spcube_obs::SpanTree::parse_jsonl(&obs.trace_jsonl()).expect("trace parses");
+        let tree = spcube_obs::SpanTree::parse_jsonl(&obs.flight_jsonl()).expect("trace parses");
+        tree.validate().expect("valid");
         assert_eq!(
             tree.events_named(names::STORE_FAULT_INJECTED) as u64,
             stats.total(),
-            "events must match stats"
+            "flight events must match stats"
         );
         assert_eq!(fb.oplog().len() as u64, stats.total());
     }

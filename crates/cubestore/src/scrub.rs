@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 
 use spcube_agg::AggState;
 use spcube_common::{Error, Mask, Relation, Result, Value};
-use spcube_obs::{names, ObsHandle, SpanId, Stopwatch};
+use spcube_obs::{names, ObsHandle, Stopwatch};
 
 use crate::blob::BlobStore;
 use crate::delta::{merge_into, StateSegment};
@@ -235,11 +235,6 @@ impl Scrubber {
                             finding.repaired = true;
                             report.repaired += 1;
                             self.obs.inc(names::STORE_SCRUB_REPAIRED, &[]);
-                            self.obs.event(
-                                names::STORE_SCRUB_REPAIRED,
-                                SpanId::ROOT,
-                                &[("path", root.clone())],
-                            );
                         }
                     }
                 }
@@ -281,11 +276,6 @@ impl Scrubber {
                             finding.repaired = true;
                             report.repaired += 1;
                             self.obs.inc(names::STORE_SCRUB_REPAIRED, &[]);
-                            self.obs.event(
-                                names::STORE_SCRUB_REPAIRED,
-                                SpanId::ROOT,
-                                &[("path", entry.path.clone())],
-                            );
                         }
                         Err(why) => finding.what = format!("{}; unrepaired: {why}", finding.what),
                     }
@@ -318,11 +308,6 @@ impl Scrubber {
     ) -> ScrubFinding {
         report.corrupt += 1;
         self.obs.inc(names::STORE_SCRUB_CORRUPT, &[]);
-        self.obs.event(
-            names::STORE_SCRUB_CORRUPT,
-            SpanId::ROOT,
-            &[("path", path.to_string()), ("what", error.to_string())],
-        );
         let mut quarantined = false;
         if self.config.repair {
             if let Ok(bytes) = blobs.get(path) {
@@ -387,20 +372,6 @@ impl Scrubber {
         );
         self.obs
             .hist_record(names::STORE_SCRUB_US, &[], t0.seconds() * 1e6);
-        self.obs.event(
-            names::STORE_SCRUB_RUN,
-            SpanId::ROOT,
-            &[
-                (
-                    "generation",
-                    report
-                        .generation
-                        .map_or_else(|| "none".to_string(), |g| g.to_string()),
-                ),
-                ("corrupt", report.corrupt.to_string()),
-                ("repaired", report.repaired.to_string()),
-            ],
-        );
     }
 }
 

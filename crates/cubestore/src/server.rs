@@ -33,7 +33,7 @@ use spcube_common::sync::{lock_or_recover, wait_or_recover};
 use spcube_common::{Error, Group, Mask, Value};
 use spcube_cubealg::{check_cuboid, roll_up_cuboid, slice_slot, CubeRead};
 use spcube_obs::ctx as flightctx;
-use spcube_obs::{names, Clock, FlightName, FlightRec, ObsHandle, QueryCtx, SpanId, Stopwatch};
+use spcube_obs::{names, Clock, FlightName, FlightRec, ObsHandle, QueryCtx, Stopwatch};
 
 use crate::store::CubeStore;
 
@@ -288,16 +288,11 @@ struct Shared {
     deadline_exceeded: AtomicU64,
 }
 
-/// Count one deadline miss: stat, obs counter, and a `stage`-labeled
-/// event at the exact check point that fired.
-fn note_deadline_miss(shared: &Shared, obs: &ObsHandle, stage: &str) {
+/// Count one deadline miss: stat and obs counter, at the exact check
+/// point that fired.
+fn note_deadline_miss(shared: &Shared, obs: &ObsHandle) {
     shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     obs.inc(names::SERVE_DEADLINE_EXCEEDED, &[]);
-    obs.event(
-        names::SERVE_DEADLINE_EXCEEDED,
-        SpanId::ROOT,
-        &[("stage", stage.to_string())],
-    );
 }
 
 /// A running worker-pool server over one shared store.
@@ -370,7 +365,7 @@ impl CubeServer {
     ) -> Result<(), ServeError> {
         if let Some(dl) = deadline {
             if self.shared.clock.now_us() >= dl.at_us {
-                note_deadline_miss(&self.shared, self.store.obs(), "admission");
+                note_deadline_miss(&self.shared, self.store.obs());
                 return Err(ServeError::DeadlineExceeded);
             }
         }
@@ -551,7 +546,7 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
         // before any store work.
         if let Some(dl) = deadline {
             if shared.clock.now_us() >= dl.at_us {
-                note_deadline_miss(shared, store.obs(), "dequeue");
+                note_deadline_miss(shared, store.obs());
                 reply.deliver(Err(ServeError::DeadlineExceeded));
                 continue;
             }
@@ -569,7 +564,7 @@ fn worker_loop(shared: &Shared, store: &CubeStore) {
             match store.segment(req.cuboid()) {
                 Err(e) => Ok(Response::Failed(e.to_string())),
                 Ok(_) if deadline.is_some_and(|dl| shared.clock.now_us() >= dl.at_us) => {
-                    note_deadline_miss(shared, store.obs(), "scan");
+                    note_deadline_miss(shared, store.obs());
                     Err(ServeError::DeadlineExceeded)
                 }
                 Ok(seg) => Ok(answer(seg.as_ref(), &req)),

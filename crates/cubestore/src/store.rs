@@ -48,7 +48,7 @@ use spcube_agg::{AggOutput, AggSpec};
 use spcube_common::sync::lock_or_recover;
 use spcube_common::{Error, Group, Mask, Relation, Result, Value};
 use spcube_cubealg::{check_cuboid, slice_slot, Cube, CubeRead};
-use spcube_obs::{flight_timed, names, Counter, FlightLabel, FlightName, ObsHandle, SpanId};
+use spcube_obs::{flight_timed, names, Counter, FlightLabel, FlightName, ObsHandle};
 
 use crate::blob::BlobStore;
 use crate::cache::SegmentCache;
@@ -340,28 +340,18 @@ impl CubeStore {
 
     /// Attach an observability session. Recovery work [`CubeStore::open`]
     /// already performed (torn-commit repair, quarantined orphans) is
-    /// reported retroactively as counters plus one summarizing event
-    /// each, so a trace always reflects what this open recovered from.
+    /// reported retroactively as counters, so a snapshot always reflects
+    /// what this open recovered from.
     pub fn with_obs(mut self, obs: ObsHandle) -> CubeStore {
         self.obs_cache_hit = obs.counter(names::STORE_CACHE_HIT, &[]);
         self.obs_cache_miss = obs.counter(names::STORE_CACHE_MISS, &[]);
         let torn = self.torn_commits.load(Ordering::Relaxed);
         if torn > 0 {
             obs.add(names::STORE_COMMIT_TORN, &[], torn);
-            obs.event(
-                names::STORE_COMMIT_TORN,
-                SpanId::ROOT,
-                &[("repaired", torn.to_string())],
-            );
         }
         let quarantined = self.quarantined_blobs.load(Ordering::Relaxed);
         if quarantined > 0 {
             obs.add(names::STORE_BLOB_QUARANTINED, &[], quarantined);
-            obs.event(
-                names::STORE_BLOB_QUARANTINED,
-                SpanId::ROOT,
-                &[("blobs", quarantined.to_string())],
-            );
         }
         if self.manifest.kind == StoreKind::State {
             obs.gauge_set(
@@ -509,11 +499,6 @@ impl CubeStore {
         };
         self.degraded_recomputes.fetch_add(1, Ordering::Relaxed);
         self.obs.inc(names::STORE_DEGRADE_RECOMPUTE, &[]);
-        self.obs.event(
-            names::STORE_DEGRADE_RECOMPUTE,
-            SpanId::ROOT,
-            &[("cuboid", mask.0.to_string())],
-        );
         let rows = recompute_cuboid(rel, mask, self.manifest.spec, self.manifest.min_support);
         Ok(Segment::build(self.manifest.d, mask, rows))
     }

@@ -21,13 +21,14 @@
     clippy::disallowed_types
 )]
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use spcube_common::sync::lock_or_recover;
 use spcube_common::{Error, Result};
-use spcube_obs::{names, SpanId};
+use spcube_obs::{names, FlightLabel, FlightName, FlightRec, ObsHandle, QueryCtx};
 
 use crate::config::ClusterConfig;
 use crate::context::{MapContext, ReduceContext};
@@ -89,24 +90,84 @@ pub fn run_job<J: MrJob>(
         return Err(Error::Config("job needs at least one reducer".into()));
     }
     cluster.validate()?;
-    let name = job.name();
-    // One span per round; closed here so error exits inside `run_round`
-    // never leave it dangling (the trace validator flags unclosed spans).
-    let obs = &cluster.obs;
-    let round = obs.span(
-        names::ENGINE_ROUND,
-        SpanId::ROOT,
-        &[("job", name.clone()), ("reducers", reducers.to_string())],
-    );
-    let result = run_round(cluster, job, inputs, reducers, name, round);
-    match &result {
-        Ok(r) => obs.end(
-            round,
-            &[("sim_s", format!("{:.6}", r.metrics.simulated_seconds))],
-        ),
-        Err(e) => obs.end(round, &[("error", e.to_string())]),
+    // One flight trace per round, kept here so that an error exit inside
+    // `run_round` still leaves a whole trace, its open phase closed.
+    let trace = RoundTrace::begin(&cluster.obs);
+    let result = run_round(cluster, job, inputs, reducers, trace.as_ref());
+    if let Some(trace) = trace {
+        trace.keep(job.name(), reducers, &result);
     }
     result
+}
+
+/// The flight trace of one round on an obs-enabled cluster: a root
+/// `engine.round` span tiled by a map and a reduce phase span, with the
+/// recovery events under the phase they happened in. Every record is
+/// written on the driver thread, so the trace is deterministic under the
+/// mock clock.
+pub(crate) struct RoundTrace<'a> {
+    obs: &'a ObsHandle,
+    ctx: QueryCtx,
+    start_us: u64,
+    /// The open phase: its name, flight span id and start.
+    phase: Cell<(FlightName, u64, u64)>,
+}
+
+impl RoundTrace<'_> {
+    /// Open the round and its map phase (`None` when obs is off).
+    fn begin(obs: &ObsHandle) -> Option<RoundTrace<'_>> {
+        let ctx = obs.flight_begin()?;
+        let start_us = obs.flight_now_us();
+        let map = (FlightName::MapPhase, obs.flight_span_id(), start_us);
+        Some(RoundTrace {
+            obs,
+            ctx,
+            start_us,
+            phase: Cell::new(map),
+        })
+    }
+
+    /// Close the open phase at `end_us`.
+    fn close_phase(&self, end_us: u64) {
+        let (name, id, start_us) = self.phase.get();
+        let dur_us = end_us.saturating_sub(start_us);
+        self.obs
+            .flight_emit(FlightRec::span(&self.ctx, id, name, start_us, dur_us));
+    }
+
+    /// Close the map phase and open the reduce phase, which shuffle and
+    /// sort count toward.
+    fn enter_reduce(&self) {
+        let now = self.obs.flight_now_us();
+        self.close_phase(now);
+        let id = self.obs.flight_span_id();
+        self.phase.set((FlightName::ReducePhase, id, now));
+    }
+
+    /// Record `name` under the open phase, labelled with a task or
+    /// machine index.
+    pub(crate) fn event(&self, name: FlightName, key: FlightLabel, index: usize) {
+        let parent = self.phase.get().1;
+        let rec = FlightRec::event(&self.ctx, name, self.obs.flight_now_us());
+        self.obs
+            .flight_emit(rec.with_parent(parent).with_label(key, index as u64));
+    }
+
+    /// Close the open phase and the round, and keep the trace: the root
+    /// carries the job and reducer count, and the simulated seconds or
+    /// the error.
+    fn keep<O>(self, job: String, reducers: usize, result: &Result<JobResult<O>>) {
+        let end_us = self.obs.flight_now_us();
+        self.close_phase(end_us);
+        let outcome = match result {
+            Ok(r) => ("sim_s", format!("{:.6}", r.metrics.simulated_seconds)),
+            Err(e) => ("error", e.to_string()),
+        };
+        let dur_us = end_us.saturating_sub(self.start_us);
+        let root = FlightRec::root(&self.ctx, FlightName::Round, self.start_us, dur_us);
+        let labels = [("job", job), ("reducers", reducers.to_string())];
+        self.obs.flight_keep(root, &labels, &[outcome]);
+    }
 }
 
 fn run_round<J: MrJob>(
@@ -114,10 +175,10 @@ fn run_round<J: MrJob>(
     job: &J,
     inputs: &[J::Input],
     reducers: usize,
-    name: String,
-    round: SpanId,
+    trace: Option<&RoundTrace<'_>>,
 ) -> Result<JobResult<J::Output>> {
     let wall_start = Stopwatch::start();
+    let name = job.name();
     let k = cluster.machines;
     let cost = &cluster.cost;
     let obs = &cluster.obs;
@@ -127,8 +188,7 @@ fn run_round<J: MrJob>(
         retry: &cluster.retry,
         speculation: &cluster.speculation,
         job: &name,
-        obs,
-        parent: round,
+        trace,
     };
 
     // ---- Map phase -------------------------------------------------------
@@ -188,11 +248,9 @@ fn run_round<J: MrJob>(
             // Machine ids from the fault plan are < k by construction;
             // `get` keeps a broken plan from crashing the run.
             let Some(split) = splits.get(m) else { continue };
-            obs.event(
-                names::ENGINE_MACHINE_LOST,
-                round,
-                &[("phase", "map".to_string()), ("machine", m.to_string())],
-            );
+            if let Some(t) = trace {
+                t.event(FlightName::MachineLost, FlightLabel::Machine, m);
+            }
             rec.tasks_lost += 1;
             rec.wasted_seconds += map_times.get(m).copied().unwrap_or(0.0);
             let host = (1..k)
@@ -219,6 +277,10 @@ fn run_round<J: MrJob>(
         }
     }
 
+    if let Some(t) = trace {
+        t.enter_reduce();
+    }
+
     // Machine loss during the reduce phase, part 1: the dead machine's map
     // output is lost mid-shuffle and must be regenerated before the
     // rescheduled consumers can proceed. Re-execute for real (the shuffle
@@ -227,11 +289,9 @@ fn run_round<J: MrJob>(
     let mut reduce_recovery = vec![0.0f64; k];
     for &m in &lost_reduce {
         let Some(split) = splits.get(m) else { continue };
-        obs.event(
-            names::ENGINE_MACHINE_LOST,
-            round,
-            &[("phase", "reduce".to_string()), ("machine", m.to_string())],
-        );
+        if let Some(t) = trace {
+            t.event(FlightName::MachineLost, FlightLabel::Machine, m);
+        }
         rec.tasks_lost += 1; // the lost map output
         let out = run_map_task(job, split, m, reducers);
         let reexec_secs = out.base_seconds(cost);
@@ -430,21 +490,12 @@ fn run_round<J: MrJob>(
         + shuffle_recovery
         + reduce_times.iter().copied().fold(0.0f64, f64::max);
 
-    // Per-task spans, recorded post-phase on the driver thread in task
-    // order so the trace is deterministic regardless of host scheduling.
+    // Per-task simulated seconds, recorded post-phase on the driver.
     if obs.enabled() {
-        for (phase, times) in [("map", &map_times), ("reduce", &reduce_times)] {
-            let hist = obs.histogram(names::ENGINE_TASK_SECONDS, &[("phase", phase.to_string())]);
-            for (t, &secs) in times.iter().enumerate() {
-                let span = obs.span(
-                    names::ENGINE_TASK,
-                    round,
-                    &[("phase", phase.to_string()), ("task", t.to_string())],
-                );
-                obs.end(span, &[("sim_s", format!("{secs:.6}"))]);
-                if let Some(h) = &hist {
-                    h.record(secs);
-                }
+        for (phase, times) in [(Phase::Map, &map_times), (Phase::Reduce, &reduce_times)] {
+            let labels = [("phase", phase.name().to_string())];
+            if let Some(h) = obs.histogram(names::ENGINE_TASK_SECONDS, &labels) {
+                times.iter().for_each(|&secs| h.record(secs));
             }
         }
     }
@@ -1038,7 +1089,10 @@ mod failure_tests {
     #[test]
     fn exhausted_attempts_abort_the_job() {
         let inputs: Vec<u64> = (0..100).collect();
-        let mut cluster = ClusterConfig::new(4, 100).with_task_failures(0.999999);
+        let obs = ObsHandle::mock();
+        let mut cluster = ClusterConfig::new(4, 100)
+            .with_task_failures(0.999999)
+            .with_obs(obs.clone());
         cluster.retry.max_attempts = 2;
         let err = run_job(&cluster, &Sum, &inputs, 2).expect_err("must fail");
         assert!(err.to_string().contains("failed 2 attempts"), "{err}");
@@ -1046,6 +1100,17 @@ mod failure_tests {
             matches!(&err, Error::JobFailed { job, attempts: 2, .. } if job == "sum"),
             "{err}"
         );
+        // The failed round still keeps a whole trace carrying the error:
+        // the map phase it failed in closes the round and holds the
+        // retries, and no reduce phase opened.
+        let tree = spcube_obs::SpanTree::parse_jsonl(&obs.flight_jsonl()).expect("parse");
+        tree.validate().expect("whole trace");
+        let root = &tree.nodes[tree.roots[0]];
+        assert_eq!(root.attrs, [("error".to_string(), err.to_string())]);
+        let map = tree.spans_named(names::ENGINE_PHASE_MAP)[0];
+        assert_eq!((map.end_us, map.events.len()), (root.end_us, 2));
+        assert!(tree.spans_named(names::ENGINE_PHASE_REDUCE).is_empty());
+        assert_eq!(tree.events_named(names::ENGINE_TASK_RETRY), 2);
     }
 
     #[test]

@@ -31,7 +31,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use spcube_common::{Error, Result};
-use spcube_obs::{names, ObsHandle, SpanId};
+use spcube_obs::{FlightLabel, FlightName};
+
+use crate::engine::RoundTrace;
 
 /// Phase of a MapReduce round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -297,12 +299,11 @@ pub(crate) struct PhaseFaults<'a> {
     pub retry: &'a RetryPolicy,
     pub speculation: &'a SpeculationConfig,
     pub job: &'a str,
-    /// Observability session; retry/speculation events are emitted at the
-    /// exact sites the matching `RecoveryCounters` fields increment, so
-    /// trace event counts always equal the job's metrics.
-    pub obs: &'a ObsHandle,
-    /// Round span the fault events hang off.
-    pub parent: SpanId,
+    /// The round's flight trace (`None` when obs is off). Retry and
+    /// speculation events go under its open phase span, at the exact
+    /// sites the matching `RecoveryCounters` fields increment, so trace
+    /// event counts always equal the job's metrics.
+    pub trace: Option<&'a RoundTrace<'a>>,
 }
 
 impl PhaseFaults<'_> {
@@ -336,19 +337,13 @@ impl PhaseFaults<'_> {
             for attempt in 1..=self.retry.max_attempts {
                 if self.plan.attempt_fails(self.job, phase, t, attempt) {
                     rec.task_retries += 1;
-                    self.obs.event(
-                        names::ENGINE_TASK_RETRY,
-                        self.parent,
-                        &[
-                            ("phase", phase.name().to_string()),
-                            ("task", t.to_string()),
-                            ("attempt", attempt.to_string()),
-                        ],
-                    );
+                    if let Some(trace) = self.trace {
+                        trace.event(FlightName::TaskRetry, FlightLabel::Task, t);
+                    }
                     rec.wasted_seconds += attempt_s;
                     total += attempt_s + self.retry.delay_after(attempt);
                 } else {
-                    total += self.finish_attempt(phase, t, attempt_s, base[t], median, rec);
+                    total += self.finish_attempt(t, attempt_s, base[t], median, rec);
                     succeeded = true;
                     break;
                 }
@@ -370,7 +365,6 @@ impl PhaseFaults<'_> {
     /// execution has had its say.
     fn finish_attempt(
         &self,
-        phase: Phase,
         task: usize,
         attempt_s: f64,
         base: f64,
@@ -386,14 +380,9 @@ impl PhaseFaults<'_> {
         let backup_start = spec.slack * median;
         let backup_finish = backup_start + base;
         rec.speculative_launches += 1;
-        self.obs.event(
-            names::ENGINE_TASK_SPECULATE,
-            self.parent,
-            &[
-                ("phase", phase.name().to_string()),
-                ("task", task.to_string()),
-            ],
-        );
+        if let Some(trace) = self.trace {
+            trace.event(FlightName::TaskSpeculate, FlightLabel::Task, task);
+        }
         if backup_finish < attempt_s {
             // Backup wins; the original is killed at the backup's finish.
             rec.wasted_seconds += backup_finish;
@@ -582,6 +571,22 @@ mod tests {
         .is_err());
     }
 
+    /// The untraced fault path of `job`.
+    fn faults<'a>(
+        plan: &'a FaultPlan,
+        retry: &'a RetryPolicy,
+        speculation: &'a SpeculationConfig,
+        job: &'a str,
+    ) -> PhaseFaults<'a> {
+        PhaseFaults {
+            plan,
+            retry,
+            speculation,
+            job,
+            trace: None,
+        }
+    }
+
     #[test]
     fn speculation_takes_the_earlier_finisher() {
         let plan = FaultPlan::default();
@@ -590,15 +595,7 @@ mod tests {
             enabled: true,
             slack: 1.5,
         };
-        let obs = ObsHandle::default();
-        let path = PhaseFaults {
-            plan: &plan,
-            retry: &retry,
-            speculation: &spec,
-            job: "j",
-            obs: &obs,
-            parent: SpanId::ROOT,
-        };
+        let path = faults(&plan, &retry, &spec, "j");
         let mut rec = RecoveryCounters::default();
         // Four healthy 10 s tasks and one 100 s straggler (pre-slowed base):
         // the backup launches at 15 s and finishes at 15 + 100 s? No — base
@@ -629,15 +626,7 @@ mod tests {
             enabled: true,
             slack: 1.5,
         };
-        let obs = ObsHandle::default();
-        let path = PhaseFaults {
-            plan: &plan,
-            retry: &retry,
-            speculation: &spec,
-            job: "j",
-            obs: &obs,
-            parent: SpanId::ROOT,
-        };
+        let path = faults(&plan, &retry, &spec, "j");
         let mut rec = RecoveryCounters::default();
         let base = [10.0, 10.0, 10.0];
         let times = path.charge(Phase::Map, &base, &mut rec).unwrap();
@@ -653,14 +642,7 @@ mod tests {
             straggler_factor: 10.0,
             ..FaultPlan::default()
         };
-        let path = PhaseFaults {
-            plan: &plan,
-            retry: &retry,
-            speculation: &spec,
-            job: "j",
-            obs: &obs,
-            parent: SpanId::ROOT,
-        };
+        let path = faults(&plan, &retry, &spec, "j");
         let stragglers: Vec<usize> = (0..8)
             .filter(|&t| plan.is_straggler("j", Phase::Map, t))
             .collect();
@@ -693,15 +675,7 @@ mod tests {
             backoff: Backoff::None,
         };
         let spec = SpeculationConfig::default();
-        let obs = ObsHandle::default();
-        let path = PhaseFaults {
-            plan: &plan,
-            retry: &retry,
-            speculation: &spec,
-            job: "cube",
-            obs: &obs,
-            parent: SpanId::ROOT,
-        };
+        let path = faults(&plan, &retry, &spec, "cube");
         let mut rec = RecoveryCounters::default();
         let err = path.charge(Phase::Reduce, &[1.0], &mut rec).unwrap_err();
         match err {
@@ -735,31 +709,16 @@ mod tests {
             backoff: Backoff::Fixed(7.0),
         };
         let spec = SpeculationConfig::default();
-        let obs = ObsHandle::default();
         let base = vec![1.0; 32];
 
         let mut rec_a = RecoveryCounters::default();
-        let a = PhaseFaults {
-            plan: &plan,
-            retry: &no_backoff,
-            speculation: &spec,
-            job: "j",
-            obs: &obs,
-            parent: SpanId::ROOT,
-        }
-        .charge(Phase::Map, &base, &mut rec_a)
-        .unwrap();
+        let a = faults(&plan, &no_backoff, &spec, "j")
+            .charge(Phase::Map, &base, &mut rec_a)
+            .unwrap();
         let mut rec_b = RecoveryCounters::default();
-        let b = PhaseFaults {
-            plan: &plan,
-            retry: &with_backoff,
-            speculation: &spec,
-            job: "j",
-            obs: &obs,
-            parent: SpanId::ROOT,
-        }
-        .charge(Phase::Map, &base, &mut rec_b)
-        .unwrap();
+        let b = faults(&plan, &with_backoff, &spec, "j")
+            .charge(Phase::Map, &base, &mut rec_b)
+            .unwrap();
         assert_eq!(
             rec_a.task_retries, rec_b.task_retries,
             "same schedule, same retries"

@@ -1,7 +1,7 @@
 //! Per-job and per-run metrics.
 
 // The workspace's single wall-clock source now lives in `spcube-obs`
-// (the tracer shares it); re-exported here so `spcube_mapreduce::
+// (the flight recorder shares it); re-exported here so `spcube_mapreduce::
 // Stopwatch` importers keep working.
 pub use spcube_obs::Stopwatch;
 

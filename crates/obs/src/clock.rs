@@ -4,9 +4,9 @@
 //! so `clippy.toml`'s `disallowed-methods` list has exactly one exempt
 //! site where `Instant::now` is read. Wall-clock readings never feed
 //! persisted bytes or partitioning decisions — only reporting fields and
-//! trace timestamps. The [`Clock`] behind a tracer can be swapped for a
-//! [`Clock::mock`] that advances a fixed step per reading, which makes
-//! trace output byte-identical across runs.
+//! trace timestamps. The [`Clock`] behind the flight recorder can be
+//! swapped for a [`Clock::mock`] that advances a fixed step per reading,
+//! which makes trace output byte-identical across runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,8 +34,8 @@ impl Stopwatch {
     }
 }
 
-/// Timestamp source for the tracer: real host time, or a deterministic
-/// counter for reproducible traces.
+/// Timestamp source for the flight recorder: real host time, or a
+/// deterministic counter for reproducible traces.
 #[derive(Debug)]
 pub enum Clock {
     /// Host time via [`Stopwatch`], in microseconds since clock creation.

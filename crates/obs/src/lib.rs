@@ -6,18 +6,22 @@
 //!   addressable by [`Name`] + label set ([`names`] holds the contract:
 //!   lowercase dotted idents, registered once, and no other way to make
 //!   a [`Name`]).
-//! * [`Tracer`] — spans and events with parent links, timestamped by the
+//! * [`FlightRecorder`] — the one trace pipeline: fixed-size span and
+//!   event records in bounded per-thread rings, timestamped by the
 //!   workspace's single clock ([`Stopwatch`], or the deterministic
-//!   [`Clock::mock`] that makes trace bytes reproducible), exported as
-//!   JSONL and reconstructed/rendered by [`SpanTree`].
+//!   [`Clock::mock`] that makes trace bytes reproducible). Serving
+//!   queries are tail-sampled; every MapReduce round of an obs-enabled
+//!   cluster is kept as one trace. Kept traces serialize to JSONL
+//!   ([`sampler::trace_jsonl`]) and [`SpanTree`] parses and renders them.
 //! * [`ObsHandle`] — the cheap clone-able handle the rest of the
 //!   workspace threads through configs. A default handle is disabled and
 //!   every operation on it is a no-op, so instrumented code pays one
 //!   branch when observability is off and nothing is global (no
 //!   cross-test pollution).
 //!
-//! Trace determinism contract: span/event recording happens on the
-//! driver thread in deterministic order; worker threads only touch
+//! Trace determinism contract: a build round's records are written on
+//! the driver thread in deterministic order, and a kept trace is
+//! serialized sorted by `(start, id)`; worker threads only touch
 //! commutative atomic instruments (counters/histograms). Under
 //! [`Clock::mock`] two identical runs therefore serialize byte-identical
 //! traces.
@@ -42,7 +46,6 @@ pub mod names;
 pub mod registry;
 pub mod ring;
 pub mod sampler;
-pub mod trace;
 pub mod tree;
 
 use std::sync::Arc;
@@ -54,7 +57,6 @@ pub use names::Name;
 pub use registry::{Counter, Gauge, Registry};
 pub use ring::{FlightKind, FlightLabel, FlightName, FlightRec, FlightRecorder, Ring};
 pub use sampler::TailSampler;
-pub use trace::{SpanId, Tracer};
 pub use tree::{EventRec, SpanNode, SpanTree};
 
 /// The full observability state behind an enabled [`ObsHandle`].
@@ -62,9 +64,7 @@ pub use tree::{EventRec, SpanNode, SpanTree};
 pub struct Obs {
     /// Instrument registry.
     pub registry: Registry,
-    /// Span/event tracer.
-    pub tracer: Tracer,
-    /// Always-on query flight recorder (tail sampling + phase spans).
+    /// The flight recorder: tail-sampled query traces and build rounds.
     pub flight: FlightRecorder,
 }
 
@@ -76,7 +76,7 @@ pub struct ObsHandle(Option<Arc<Obs>>);
 impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
-            Some(obs) if obs.tracer.is_mock() => f.write_str("ObsHandle(mock)"),
+            Some(obs) if obs.flight.is_mock() => f.write_str("ObsHandle(mock)"),
             Some(_) => f.write_str("ObsHandle(wall)"),
             None => f.write_str("ObsHandle(off)"),
         }
@@ -95,12 +95,10 @@ impl ObsHandle {
         ObsHandle::with_clock(Arc::new(Clock::mock()))
     }
 
-    /// An enabled handle whose tracer and flight recorder share `clock`,
-    /// so driver spans and flight records read one timeline.
+    /// An enabled handle whose flight recorder reads `clock`.
     pub fn with_clock(clock: Arc<Clock>) -> ObsHandle {
         ObsHandle(Some(Arc::new(Obs {
             registry: Registry::new(),
-            tracer: Tracer::new(Arc::clone(&clock)),
             flight: FlightRecorder::new(clock),
         })))
     }
@@ -114,29 +112,7 @@ impl ObsHandle {
     /// Fault injectors use this to skip real sleeps in mock-clock tests;
     /// a disabled handle reports `false` (real time applies).
     pub fn is_mock(&self) -> bool {
-        matches!(&self.0, Some(obs) if obs.tracer.is_mock())
-    }
-
-    /// Open a span (no-op returning [`SpanId::ROOT`] when disabled).
-    pub fn span(&self, name: Name, parent: SpanId, labels: &[(&str, String)]) -> SpanId {
-        match &self.0 {
-            Some(obs) => obs.tracer.span(name, parent, labels),
-            None => SpanId::ROOT,
-        }
-    }
-
-    /// Close a span with result attributes.
-    pub fn end(&self, id: SpanId, attrs: &[(&str, String)]) {
-        if let Some(obs) = &self.0 {
-            obs.tracer.end(id, attrs);
-        }
-    }
-
-    /// Record an instantaneous event.
-    pub fn event(&self, name: Name, parent: SpanId, labels: &[(&str, String)]) {
-        if let Some(obs) = &self.0 {
-            obs.tracer.event(name, parent, labels);
-        }
+        matches!(&self.0, Some(obs) if obs.flight.is_mock())
     }
 
     /// Add 1 to a counter.
@@ -195,14 +171,6 @@ impl ObsHandle {
             .map(|obs| obs.registry.gauge(name, labels).get())
     }
 
-    /// The trace serialized as JSONL (empty when disabled).
-    pub fn trace_jsonl(&self) -> String {
-        self.0
-            .as_ref()
-            .map(|obs| obs.tracer.jsonl())
-            .unwrap_or_default()
-    }
-
     /// Prometheus-style snapshot of all instruments (empty when disabled).
     pub fn prometheus(&self) -> String {
         self.0
@@ -257,6 +225,19 @@ impl ObsHandle {
         };
         obs.registry.counter(name, &[]).inc();
         kept
+    }
+
+    /// Keep a trace without sampling it (builds): see
+    /// [`FlightRecorder::keep`]. Touches no counter and no histogram.
+    pub fn flight_keep(
+        &self,
+        root: FlightRec,
+        labels: &[(&str, String)],
+        attrs: &[(&str, String)],
+    ) {
+        if let Some(obs) = &self.0 {
+            obs.flight.keep(root, labels, attrs);
+        }
     }
 
     /// All kept flight traces as one JSONL document (empty when disabled).
@@ -324,55 +305,6 @@ pub fn flight_timed<T>(
     out
 }
 
-/// A span that closes itself (with no attributes) when dropped. Obtain
-/// via [`span!`]; call [`SpanGuard::id`] to parent children under it.
-#[derive(Debug)]
-pub struct SpanGuard {
-    obs: ObsHandle,
-    id: SpanId,
-}
-
-impl SpanGuard {
-    /// Open a guard over `obs`.
-    pub fn enter(
-        obs: &ObsHandle,
-        name: Name,
-        parent: SpanId,
-        labels: &[(&str, String)],
-    ) -> SpanGuard {
-        SpanGuard {
-            obs: obs.clone(),
-            id: obs.span(name, parent, labels),
-        }
-    }
-
-    /// The guarded span's id, for parenting children and events.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.obs.end(self.id, &[]);
-    }
-}
-
-/// Open a [`SpanGuard`]: `span!(obs, names::ENGINE_ROUND, job = "x")`.
-/// Label values go through `to_string()`; the span closes when the guard
-/// drops.
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $crate::SpanGuard::enter(
-            &$obs,
-            $name,
-            $crate::SpanId::ROOT,
-            &[$((stringify!($k), $v.to_string())),*],
-        )
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,16 +313,11 @@ mod tests {
     fn disabled_handle_is_a_total_noop() {
         let obs = ObsHandle::default();
         assert!(!obs.enabled());
-        let s = obs.span(names::ENGINE_ROUND, SpanId::ROOT, &[]);
-        assert_eq!(s, SpanId::ROOT);
-        obs.end(s, &[]);
-        obs.event(names::ENGINE_TASK_RETRY, s, &[]);
         obs.inc(names::STORE_CACHE_HIT, &[]);
         obs.gauge_set(names::SPCUBE_REDUCER_IMBALANCE, &[], 1.0);
         obs.hist_record(names::SERVE_QUERY_US, &[], 5.0);
         assert!(obs.histogram(names::SERVE_QUERY_US, &[]).is_none());
         assert_eq!(obs.counter_value(names::STORE_CACHE_HIT, &[]), None);
-        assert!(obs.trace_jsonl().is_empty());
         assert!(obs.prometheus().is_empty());
         assert_eq!(format!("{obs:?}"), "ObsHandle(off)");
     }
@@ -454,18 +381,5 @@ mod tests {
         // Outside a scope the same call is untimed.
         flight_timed(&obs, FlightName::Decode, None, || ());
         assert_eq!(c.phases.breakdown(1_000_000).decode_us, 0);
-    }
-
-    #[test]
-    fn span_guard_closes_on_drop() {
-        let obs = ObsHandle::mock();
-        {
-            let g = span!(obs, names::ENGINE_ROUND, job = "t");
-            obs.event(names::ENGINE_TASK_RETRY, g.id(), &[]);
-        }
-        let tree = SpanTree::parse_jsonl(&obs.trace_jsonl()).expect("parse");
-        tree.validate().expect("valid");
-        assert_eq!(tree.spans_named(names::ENGINE_ROUND).len(), 1);
-        assert_eq!(tree.events_named(names::ENGINE_TASK_RETRY), 1);
     }
 }

@@ -54,17 +54,20 @@ macro_rules! define_names {
 }
 
 define_names! {
-    /// One MapReduce round (span; labels: `job`).
+    /// Root span of one MapReduce round's flight trace (labels: `job`,
+    /// `reducers`; attrs: `sim_s`, or `error` when the round failed).
     ENGINE_ROUND = "engine.round";
-    /// One simulated task (span; labels: `phase`, `task`; attrs: `sim_s`).
-    ENGINE_TASK = "engine.task";
+    /// A round's map phase, map-side recovery included (flight span).
+    ENGINE_PHASE_MAP = "engine.phase.map";
+    /// A round's shuffle, sort and reduce phase (flight span).
+    ENGINE_PHASE_REDUCE = "engine.phase.reduce";
     /// Simulated task seconds (histogram; labels: `phase`).
     ENGINE_TASK_SECONDS = "engine.task.seconds";
-    /// A failed attempt was retried (event; labels: `phase`, `task`).
+    /// A failed attempt was retried (flight event; label: `task`).
     ENGINE_TASK_RETRY = "engine.task.retry";
-    /// A speculative backup launched (event; labels: `phase`, `task`).
+    /// A speculative backup launched (flight event; label: `task`).
     ENGINE_TASK_SPECULATE = "engine.task.speculate";
-    /// A machine was lost mid-round (event; labels: `phase`, `machine`).
+    /// A machine was lost mid-round (flight event; label: `machine`).
     ENGINE_MACHINE_LOST = "engine.machine.lost";
 
     /// SP-Sketch build time in simulated seconds (gauge).
@@ -77,70 +80,68 @@ define_names! {
     SPCUBE_REDUCER_LOAD = "spcube.reducer.load";
     /// Max/mean reducer load of the cube round, skew reducer excluded (gauge).
     SPCUBE_REDUCER_IMBALANCE = "spcube.reducer.imbalance";
-    /// The driver fell back to the degraded hash-partitioned plan (event).
+    /// The driver fell back to the degraded hash-partitioned plan (counter).
     SPCUBE_DEGRADED = "spcube.degraded";
 
     /// Query answered from a cached decoded segment (counter).
     STORE_CACHE_HIT = "store.cache.hit";
     /// Query had to fetch/decode or recompute a segment (counter).
     STORE_CACHE_MISS = "store.cache.miss";
-    /// A segment was served via BUC recompute (event; labels: `cuboid`).
+    /// A segment was served via BUC recompute (counter).
     STORE_DEGRADE_RECOMPUTE = "store.degrade.recompute";
-    /// A torn root pointer was repaired at open (event).
+    /// A torn root pointer was repaired at open (counter).
     STORE_COMMIT_TORN = "store.commit.torn";
-    /// An orphan blob was quarantined at open (event; labels: `path`).
+    /// An orphan blob was quarantined at open (counter).
     STORE_BLOB_QUARANTINED = "store.blob.quarantined";
 
     /// Served query latency in microseconds (histogram).
     SERVE_QUERY_US = "serve.query.us";
-    /// A query missed its deadline (counter + event; labels: `stage`).
+    /// A query missed its deadline (counter; flight event).
     SERVE_DEADLINE_EXCEEDED = "serve.deadline.exceeded";
-    /// The client launched a hedged second attempt (counter + event).
+    /// The client launched a hedged second attempt (counter; flight event).
     SERVE_HEDGE_FIRED = "serve.hedge.fired";
-    /// A hedged attempt answered before the primary (counter + event).
+    /// A hedged attempt answered before the primary (counter; flight
+    /// event).
     SERVE_HEDGE_WON = "serve.hedge.won";
-    /// A per-cuboid serve circuit breaker opened (counter + event; labels:
-    /// `cuboid`).
+    /// A per-cuboid serve circuit breaker opened (counter; flight event
+    /// with label `cuboid`).
     SERVE_BREAKER_OPEN = "serve.breaker.open";
     /// An open serve circuit breaker refused a query without reaching the
-    /// server (counter + event; labels: `cuboid`).
+    /// server (counter; flight event with label `cuboid`).
     SERVE_BREAKER_SHED = "serve.breaker.shed";
-    /// FaultyBlobs injected a fault, a planned crash included (counter +
-    /// event; labels: `kind`, `op`, and `path` on the event).
+    /// FaultyBlobs injected a fault, a planned crash included (counter;
+    /// labels: `kind`, `op`; flight event with label `kind` inside a
+    /// recorded query).
     STORE_FAULT_INJECTED = "store.fault.injected";
 
     /// Live layer count of an incremental store (gauge).
     STORE_LAYER_COUNT = "store.layer.count";
-    /// A delta batch was ingested as a new layer (counter + event).
+    /// A delta batch was ingested as a new layer (counter).
     STORE_DELTA_INGEST = "store.delta.ingest";
     /// Wall microseconds one delta ingest took, cube + commit (histogram).
     STORE_DELTA_INGEST_US = "store.delta.ingest.us";
     /// Rows written into a delta layer's state segments (counter).
     STORE_DELTA_ROWS = "store.delta.rows";
-    /// A compaction folded delta layers into a new base (counter + event).
+    /// A compaction folded delta layers into a new base (counter).
     STORE_COMPACT_RUN = "store.compact.run";
     /// Layers folded away by compactions (counter).
     STORE_COMPACT_FOLDED = "store.compact.folded_layers";
     /// Wall microseconds one compaction took, merge + commit (histogram).
     STORE_COMPACT_US = "store.compact.us";
 
-    /// An IngestSession retried after a retryable failure (counter + event;
-    /// labels: `attempt`, `op`).
+    /// An IngestSession retried after a retryable failure (counter).
     STORE_INGEST_RETRY = "store.ingest.retry";
-    /// A replayed batch ID was answered as a typed no-op (counter + event;
-    /// labels: `batch_id`, `generation`).
+    /// A replayed batch ID was answered as a typed no-op (counter).
     STORE_INGEST_DEDUP = "store.ingest.dedup";
-    /// A scrub pass over the live chain ran (counter + event; labels:
-    /// `generation`).
+    /// A scrub pass over the live chain ran (counter).
     STORE_SCRUB_RUN = "store.scrub.run";
     /// Blobs a scrub pass re-verified (counter).
     STORE_SCRUB_CHECKED = "store.scrub.checked";
-    /// Blobs a scrub pass found corrupt (counter + event; labels: `path`,
-    /// `what`).
+    /// Blobs a scrub pass found corrupt (counter).
     STORE_SCRUB_CORRUPT = "store.scrub.corrupt";
     /// Corrupt blobs copied aside for post-mortem (counter; labels: `path`).
     STORE_SCRUB_QUARANTINED = "store.scrub.quarantined";
-    /// Corrupt blobs repaired in place (counter + event; labels: `path`).
+    /// Corrupt blobs repaired in place (counter).
     STORE_SCRUB_REPAIRED = "store.scrub.repaired";
     /// Corrupt blobs the scrubber could not repair (counter; labels: `path`).
     STORE_SCRUB_UNREPAIRABLE = "store.scrub.unrepairable";
@@ -153,9 +154,10 @@ define_names! {
     SERVE_PHASE_QUEUE_WAIT = "serve.phase.queue_wait";
     /// Residual latency not charged to queue/IO/decode/merge (span).
     SERVE_PHASE_FINALIZE = "serve.phase.finalize";
-    /// A profiled client attempt was retried (event; label: `attempt`).
+    /// A profiled client attempt was retried (flight event; label:
+    /// `attempt`).
     SERVE_PHASE_RETRY = "serve.phase.retry";
-    /// A profiled query ended in a typed error (event).
+    /// A profiled query ended in a typed error (flight event).
     SERVE_PHASE_ERROR = "serve.phase.error";
     /// One blob fetch on the profiled read path (span; label: `cuboid` or
     /// `layer`).

@@ -1,13 +1,14 @@
 //! Per-thread lock-free span ring buffers and the flight recorder that
 //! harvests them.
 //!
-//! Every thread that touches a profiled query writes complete-span
-//! records (written once, at span end — never a torn half-open span)
-//! into its own single-producer [`Ring`] of seqlock-guarded slots. The
-//! [`FlightRecorder`] hands each thread its ring through a thread-local
-//! cache, allocates trace and span ids, and — when the tail sampler
-//! keeps a query — harvests every registered ring for that trace id and
-//! serializes one complete JSONL trace.
+//! Every thread that touches a recorded query or build round writes
+//! complete-span records (written once, at span end — never a torn
+//! half-open span) into its own single-producer [`Ring`] of
+//! seqlock-guarded slots. The [`FlightRecorder`] hands each thread its
+//! ring through a thread-local cache, allocates trace and span ids, and
+//! — when a trace is kept (a serving query the tail sampler picks, or
+//! any build round) — harvests every registered ring for that trace id
+//! and serializes one complete JSONL trace.
 //!
 //! Memory model: every word of a slot is an `AtomicU64`, so concurrent
 //! harvest is free of undefined behaviour by construction. The seqlock
@@ -15,7 +16,7 @@
 //! done) rejects records read mid-write; the only record a harvest can
 //! lose is one overwritten after more than [`RING_CAPACITY`] newer
 //! records — and the recorder harvests at query end, immediately after
-//! the records were written, so a sampled query's records are still
+//! the records were written, so a kept trace's records are still
 //! resident.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,10 +34,6 @@ use crate::sampler::{self, TailSampler};
 /// oldest (dropping non-sampled traces at ring-buffer granularity).
 pub const RING_CAPACITY: usize = 4096;
 
-/// Flight span ids start here so they can never collide with the
-/// driver [`crate::Tracer`]'s ids (which count up from 1).
-const SPAN_ID_BASE: u64 = 1 << 32;
-
 /// Samples the recorder's latency histogram needs before the rolling
 /// p99 gate arms (everything tail-samples as "slow" against an empty
 /// histogram).
@@ -52,8 +49,8 @@ pub enum FlightKind {
 }
 
 /// The closed table of names a flight record may carry. Records store
-/// the discriminant, not a pointer, so a slot stays seven data words;
-/// [`FlightName::as_str`] maps back to the registered obs name.
+/// the declaration index, not a pointer, so a slot stays seven data
+/// words; [`FlightName::name`] maps back to the registered obs name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightName {
     /// Root span of the whole query.
@@ -84,9 +81,45 @@ pub enum FlightName {
     FaultInjected,
     /// The query ended in a typed error.
     Error,
+    /// Root span of one MapReduce round.
+    Round,
+    /// The round's map phase, map-side recovery included.
+    MapPhase,
+    /// The round's shuffle, sort and reduce phase.
+    ReducePhase,
+    /// A failed task attempt was retried.
+    TaskRetry,
+    /// A speculative backup of a slow task launched.
+    TaskSpeculate,
+    /// A machine was lost mid-round.
+    MachineLost,
 }
 
 impl FlightName {
+    /// Every name, in declaration order: a record stores its index here.
+    const ALL: [FlightName; 20] = [
+        FlightName::QueryTotal,
+        FlightName::QueueWait,
+        FlightName::BlobIo,
+        FlightName::Decode,
+        FlightName::Merge,
+        FlightName::Finalize,
+        FlightName::Retry,
+        FlightName::HedgeFired,
+        FlightName::HedgeWon,
+        FlightName::BreakerOpen,
+        FlightName::Shed,
+        FlightName::DeadlineMiss,
+        FlightName::FaultInjected,
+        FlightName::Error,
+        FlightName::Round,
+        FlightName::MapPhase,
+        FlightName::ReducePhase,
+        FlightName::TaskRetry,
+        FlightName::TaskSpeculate,
+        FlightName::MachineLost,
+    ];
+
     /// The registered obs name this record renders as.
     pub fn name(self) -> Name {
         match self {
@@ -104,46 +137,17 @@ impl FlightName {
             FlightName::DeadlineMiss => names::SERVE_DEADLINE_EXCEEDED,
             FlightName::FaultInjected => names::STORE_FAULT_INJECTED,
             FlightName::Error => names::SERVE_PHASE_ERROR,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            FlightName::QueryTotal => 0,
-            FlightName::QueueWait => 1,
-            FlightName::BlobIo => 2,
-            FlightName::Decode => 3,
-            FlightName::Merge => 4,
-            FlightName::Finalize => 5,
-            FlightName::Retry => 6,
-            FlightName::HedgeFired => 7,
-            FlightName::HedgeWon => 8,
-            FlightName::BreakerOpen => 9,
-            FlightName::Shed => 10,
-            FlightName::DeadlineMiss => 11,
-            FlightName::FaultInjected => 12,
-            FlightName::Error => 13,
+            FlightName::Round => names::ENGINE_ROUND,
+            FlightName::MapPhase => names::ENGINE_PHASE_MAP,
+            FlightName::ReducePhase => names::ENGINE_PHASE_REDUCE,
+            FlightName::TaskRetry => names::ENGINE_TASK_RETRY,
+            FlightName::TaskSpeculate => names::ENGINE_TASK_SPECULATE,
+            FlightName::MachineLost => names::ENGINE_MACHINE_LOST,
         }
     }
 
     fn from_u8(v: u8) -> Option<FlightName> {
-        Some(match v {
-            0 => FlightName::QueryTotal,
-            1 => FlightName::QueueWait,
-            2 => FlightName::BlobIo,
-            3 => FlightName::Decode,
-            4 => FlightName::Merge,
-            5 => FlightName::Finalize,
-            6 => FlightName::Retry,
-            7 => FlightName::HedgeFired,
-            8 => FlightName::HedgeWon,
-            9 => FlightName::BreakerOpen,
-            10 => FlightName::Shed,
-            11 => FlightName::DeadlineMiss,
-            12 => FlightName::FaultInjected,
-            13 => FlightName::Error,
-            _ => return None,
-        })
+        FlightName::ALL.get(usize::from(v)).copied()
     }
 }
 
@@ -158,9 +162,23 @@ pub enum FlightLabel {
     Layer,
     /// Injected fault kind code.
     Kind,
+    /// Map or reduce task index.
+    Task,
+    /// Machine index.
+    Machine,
 }
 
 impl FlightLabel {
+    /// Every label key, in declaration order: a record stores its index.
+    const ALL: [FlightLabel; 6] = [
+        FlightLabel::Attempt,
+        FlightLabel::Cuboid,
+        FlightLabel::Layer,
+        FlightLabel::Kind,
+        FlightLabel::Task,
+        FlightLabel::Machine,
+    ];
+
     /// Label key as rendered in the trace JSONL.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -168,37 +186,24 @@ impl FlightLabel {
             FlightLabel::Cuboid => "cuboid",
             FlightLabel::Layer => "layer",
             FlightLabel::Kind => "kind",
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            FlightLabel::Attempt => 0,
-            FlightLabel::Cuboid => 1,
-            FlightLabel::Layer => 2,
-            FlightLabel::Kind => 3,
+            FlightLabel::Task => "task",
+            FlightLabel::Machine => "machine",
         }
     }
 
     fn from_u8(v: u8) -> Option<FlightLabel> {
-        Some(match v {
-            0 => FlightLabel::Attempt,
-            1 => FlightLabel::Cuboid,
-            2 => FlightLabel::Layer,
-            3 => FlightLabel::Kind,
-            _ => return None,
-        })
+        FlightLabel::ALL.get(usize::from(v)).copied()
     }
 }
 
 /// One decoded flight record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightRec {
-    /// Which query this record belongs to.
+    /// Which trace (query or build round) this record belongs to.
     pub trace_id: u64,
-    /// Record id (unique per recorder for spans; events reuse 0).
+    /// Record id (unique per recorder for spans, from 1; events reuse 0).
     pub id: u64,
-    /// Parent span id (the query root, or 0 for the root itself).
+    /// Parent span id (0 for the root itself).
     pub parent: u64,
     /// Span or event.
     pub kind: FlightKind,
@@ -247,9 +252,23 @@ impl FlightRec {
         }
     }
 
+    /// The root span of `ctx`'s trace: id `ctx.root`, parent 0.
+    pub fn root(ctx: &QueryCtx, name: FlightName, start_us: u64, dur_us: u64) -> FlightRec {
+        FlightRec {
+            parent: 0,
+            ..FlightRec::span(ctx, ctx.root, name, start_us, dur_us)
+        }
+    }
+
     /// Attach the record's one numeric label.
     pub fn with_label(mut self, key: FlightLabel, value: u64) -> FlightRec {
         self.label = Some((key, value));
+        self
+    }
+
+    /// Parent the record under span `parent` instead of the root.
+    pub fn with_parent(mut self, parent: u64) -> FlightRec {
+        self.parent = parent;
         self
     }
 }
@@ -262,8 +281,8 @@ fn pack_meta(rec: &FlightRec) -> u64 {
         FlightKind::Span => 0u64,
         FlightKind::Event => 1,
     };
-    let label_key = rec.label.map_or(LABEL_NONE, |(k, _)| k.to_u8());
-    kind << 16 | u64::from(rec.name.to_u8()) << 8 | u64::from(label_key)
+    let label_key = rec.label.map_or(LABEL_NONE, |(k, _)| k as u8);
+    kind << 16 | (rec.name as u64) << 8 | u64::from(label_key)
 }
 
 fn unpack_meta(meta: u64) -> Option<(FlightKind, FlightName, Option<FlightLabel>)> {
@@ -425,7 +444,7 @@ impl FlightRecorder {
             clock,
             rings: Mutex::new(Vec::new()),
             next_trace: AtomicU64::new(0),
-            next_span: AtomicU64::new(SPAN_ID_BASE),
+            next_span: AtomicU64::new(1),
             sampler: TailSampler::new(P99_WARMUP),
             latency: Histogram::new(),
             kept: Mutex::new(Vec::new()),
@@ -435,6 +454,11 @@ impl FlightRecorder {
     /// Current time on the recorder's clock, µs.
     pub fn now_us(&self) -> u64 {
         self.clock.now_us()
+    }
+
+    /// Whether the recorder runs on the deterministic mock clock.
+    pub fn is_mock(&self) -> bool {
+        self.clock.is_mock()
     }
 
     /// Open a new query context.
@@ -479,10 +503,12 @@ impl FlightRecorder {
         self.local_ring().push(&rec);
     }
 
-    /// Finish a query: feed the sampler, and — when the trace is kept —
-    /// synthesize the root + finalize spans, harvest every ring, and
-    /// persist one complete JSONL trace. Returns whether the trace was
-    /// kept. `start_us`/`total_us` are on the recorder's clock.
+    /// Finish a serving query: the tail sampler decides, with the
+    /// query's latency entering the histogram either way (a kept query's
+    /// trace id pinned there as an exemplar); a kept query then gets its
+    /// residual finalize span and goes through [`FlightRecorder::keep`].
+    /// Returns whether the trace was kept. `start_us`/`total_us` are on
+    /// the recorder's clock.
     pub fn finish(
         &self,
         ctx: &QueryCtx,
@@ -491,46 +517,41 @@ impl FlightRecorder {
         errored: bool,
         deadline_missed: bool,
     ) -> bool {
-        let keep = self
+        let us = total_us as f64;
+        if !self
             .sampler
-            .keep(total_us as f64, errored, deadline_missed, &self.latency);
-        if keep {
-            self.latency
-                .record_with_exemplar(total_us as f64, ctx.trace_id);
-        } else {
-            self.latency.record(total_us as f64);
+            .keep(us, errored, deadline_missed, &self.latency)
+        {
+            self.latency.record(us);
             return false;
         }
-        // Root span covering the whole query, plus the residual
-        // finalize span, written to the finishing thread's ring before
-        // harvest so the persisted trace is structurally complete.
-        let breakdown = ctx.phases.breakdown(total_us);
-        let root = FlightRec {
-            trace_id: ctx.trace_id,
-            id: ctx.root,
-            parent: 0,
-            kind: FlightKind::Span,
-            name: FlightName::QueryTotal,
-            start_us,
-            dur_us: total_us,
-            label: None,
-        };
-        self.emit(root);
+        self.latency.record_with_exemplar(us, ctx.trace_id);
+        let finalize_us = ctx.phases.breakdown(total_us).finalize_us;
         self.emit(FlightRec::span(
             ctx,
             self.span_id(),
             FlightName::Finalize,
-            start_us + total_us.saturating_sub(breakdown.finalize_us),
-            breakdown.finalize_us,
+            start_us + total_us.saturating_sub(finalize_us),
+            finalize_us,
         ));
-        let rings: Vec<Arc<Ring>> = lock_or_recover(&self.rings).clone();
-        let mut recs = Vec::new();
-        for ring in &rings {
-            ring.harvest(ctx.trace_id, &mut recs);
-        }
-        let jsonl = sampler::trace_jsonl(ctx.trace_id, &mut recs);
-        lock_or_recover(&self.kept).push((ctx.trace_id, jsonl));
+        let root = FlightRec::root(ctx, FlightName::QueryTotal, start_us, total_us);
+        self.keep(root, &[], &[]);
         true
+    }
+
+    /// Persist one trace: add its `root` span to what every ring holds
+    /// for the root's trace id, serialize, and store. `labels` and
+    /// `attrs` are text for the root's `span_start` and `span_end`
+    /// lines. Build rounds call this directly: their traces are never
+    /// sampled and never enter the latency histogram.
+    pub fn keep(&self, root: FlightRec, labels: &[(&str, String)], attrs: &[(&str, String)]) {
+        let rings: Vec<Arc<Ring>> = lock_or_recover(&self.rings).clone();
+        let mut recs = vec![root];
+        for ring in &rings {
+            ring.harvest(root.trace_id, &mut recs);
+        }
+        let jsonl = sampler::trace_jsonl(root.trace_id, &mut recs, labels, attrs);
+        lock_or_recover(&self.kept).push((root.trace_id, jsonl));
     }
 
     /// All kept traces as one JSONL document, ordered by trace id.
@@ -602,7 +623,7 @@ mod tests {
     fn meta_packing_round_trips_every_name() {
         for v in 0..=u8::MAX {
             if let Some(name) = FlightName::from_u8(v) {
-                assert_eq!(name.to_u8(), v);
+                assert_eq!(name as u8, v);
                 let r = FlightRecorder::new(Arc::new(Clock::mock()));
                 let c = ctx(&r);
                 let rec = FlightRec::event(&c, name, 1).with_label(FlightLabel::Attempt, 2);
@@ -610,6 +631,9 @@ mod tests {
                 assert_eq!(kind, FlightKind::Event);
                 assert_eq!(n2, name);
                 assert_eq!(label, Some(FlightLabel::Attempt));
+            }
+            if let Some(key) = FlightLabel::from_u8(v) {
+                assert_eq!(key as u8, v);
             }
         }
     }

@@ -1,18 +1,20 @@
-//! Span-tree reconstruction from a JSONL trace, plus the `inspect trace`
+//! Span-tree reconstruction from a JSONL trace, plus the `inspect`
 //! rendering and validation.
 //!
-//! The parser accepts exactly the schema [`crate::trace::Tracer`] emits
-//! (three record shapes, string-valued label maps) and is panic-free:
+//! The one trace parser: it accepts exactly the schema
+//! [`crate::sampler::trace_jsonl`] writes (three record shapes,
+//! string-valued label maps, a numeric `trace` id) and is panic-free:
 //! malformed input comes back as a typed message, never a crash. Records
 //! may arrive in any order — a child's `span_end` after its parent's
 //! (out-of-order close) still reconstructs correctly, because ends are
-//! matched to starts by id, not by position.
+//! matched to starts by id, not by position. A many-trace document
+//! splits per trace id ([`SpanTree::parse_per_trace`]).
 
 use std::collections::BTreeMap;
 
 use crate::names::{valid_name, Name};
 
-/// An event attached to a span (or to the root).
+/// An event attached to a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRec {
     /// Event name.
@@ -44,6 +46,10 @@ pub struct SpanNode {
     pub events: Vec<EventRec>,
 }
 
+/// A many-trace document split per trace: `(trace id, forest)` pairs
+/// ascending by id, and the document's parse warnings.
+pub type PerTrace = (Vec<(u64, SpanTree)>, Vec<String>);
+
 /// The reconstructed forest of spans.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTree {
@@ -51,10 +57,9 @@ pub struct SpanTree {
     pub nodes: Vec<SpanNode>,
     /// Indices of top-level spans (parent 0).
     pub roots: Vec<usize>,
-    /// Events whose parent is the root.
-    pub root_events: Vec<EventRec>,
-    /// Structural problems found while parsing (unknown parents,
-    /// duplicate ids, ends without starts) — consulted by [`validate`].
+    /// Structural problems found while parsing (unknown parents, events
+    /// without a parent span, duplicate ids, ends without starts) —
+    /// consulted by [`validate`].
     problems: Vec<String>,
     /// Non-fatal parse warnings (e.g. a torn final line from a writer
     /// killed mid-append). Not consulted by [`validate`]: a torn tail is
@@ -71,37 +76,42 @@ impl SpanTree {
     /// a killed process — and comes back as a [`SpanTree::warnings`]
     /// entry instead of a parse failure.
     pub fn parse_jsonl(input: &str) -> Result<SpanTree, String> {
+        let (lines, warnings) = parse_lines(input)?;
+        let mut tree = SpanTree::build(lines.into_iter().map(|(_, _, rec)| rec));
+        tree.warnings = warnings;
+        Ok(tree)
+    }
+
+    /// Parse a document holding many traces (the flight recorder's) into
+    /// one forest per `trace` id, ascending by id. A record without a
+    /// trace id is an error. The torn-tail rule of
+    /// [`SpanTree::parse_jsonl`] applies to the whole document, and its
+    /// warning comes back once, beside the forests.
+    pub fn parse_per_trace(input: &str) -> Result<PerTrace, String> {
+        let (lines, warnings) = parse_lines(input)?;
+        let mut groups: BTreeMap<u64, Vec<JsonRecord>> = BTreeMap::new();
+        for (lineno, trace, rec) in lines {
+            let trace = trace.ok_or_else(|| format!("line {lineno}: record has no trace id"))?;
+            groups.entry(trace).or_default().push(rec);
+        }
+        let trees = groups
+            .into_iter()
+            .map(|(id, recs)| (id, SpanTree::build(recs)))
+            .collect();
+        Ok((trees, warnings))
+    }
+
+    /// Reconstruct the forest from records in any order: parents, ends
+    /// and events are linked after every start is seen.
+    fn build(records: impl IntoIterator<Item = JsonRecord>) -> SpanTree {
         let mut tree = SpanTree::default();
         let mut by_id: BTreeMap<u64, usize> = BTreeMap::new();
-        // (parent, event) pairs and ends are applied after all lines are
-        // read, so ordering between lines never matters.
+        // `(id, parent)` of each node, by node index.
+        let mut links: Vec<(u64, u64)> = Vec::new();
         type EndRec = (u64, u64, Vec<(String, String)>);
         let mut ends: Vec<EndRec> = Vec::new();
         let mut events: Vec<(u64, EventRec)> = Vec::new();
-        let lines: Vec<(usize, &str)> = input
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i, l.trim()))
-            .filter(|(_, l)| !l.is_empty())
-            .collect();
-        let last_idx = lines.last().map(|&(i, _)| i);
-        for (parsed, &(lineno, line)) in lines.iter().enumerate() {
-            let rec = match parse_record(line) {
-                Ok(rec) => rec,
-                Err(e) => {
-                    // A torn tail: the file's final line, unterminated,
-                    // after at least one complete record. Anything else
-                    // is a hard parse error.
-                    if Some(lineno) == last_idx && parsed > 0 && !input.ends_with('\n') {
-                        tree.warnings.push(format!(
-                            "torn tail: skipped truncated final line {} ({e})",
-                            lineno + 1
-                        ));
-                        break;
-                    }
-                    return Err(format!("line {}: {e}", lineno + 1));
-                }
-            };
+        for rec in records {
             match rec {
                 JsonRecord::SpanStart {
                     id,
@@ -115,6 +125,7 @@ impl SpanTree {
                         continue;
                     }
                     by_id.insert(id, tree.nodes.len());
+                    links.push((id, parent));
                     tree.nodes.push(SpanNode {
                         id,
                         name,
@@ -125,8 +136,6 @@ impl SpanTree {
                         children: Vec::new(),
                         events: Vec::new(),
                     });
-                    // Parent linkage happens after all starts are seen.
-                    let _ = parent;
                 }
                 JsonRecord::SpanEnd { id, ts_us, attrs } => ends.push((id, ts_us, attrs)),
                 JsonRecord::Event {
@@ -144,27 +153,15 @@ impl SpanTree {
                 )),
             }
         }
-        // Second pass over the raw lines for parent ids (starts only).
-        let mut attached: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for line in input.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Ok(JsonRecord::SpanStart { id, parent, .. }) = parse_record(line) {
-                if !attached.insert(id) {
-                    continue; // duplicate id: already linked (and flagged)
-                }
-                let Some(&idx) = by_id.get(&id) else { continue };
-                if parent == 0 {
-                    tree.roots.push(idx);
-                } else if let Some(node) = by_id.get(&parent).and_then(|&p| tree.nodes.get_mut(p)) {
-                    node.children.push(idx);
-                } else {
-                    tree.problems
-                        .push(format!("span {id} references unknown parent {parent}"));
-                    tree.roots.push(idx);
-                }
+        for (idx, (id, parent)) in links.into_iter().enumerate() {
+            if parent == 0 {
+                tree.roots.push(idx);
+            } else if let Some(node) = by_id.get(&parent).and_then(|&p| tree.nodes.get_mut(p)) {
+                node.children.push(idx);
+            } else {
+                tree.problems
+                    .push(format!("span {id} references unknown parent {parent}"));
+                tree.roots.push(idx);
             }
         }
         for (id, ts_us, attrs) in ends {
@@ -183,16 +180,12 @@ impl SpanTree {
             }
         }
         for (parent, ev) in events {
-            if parent == 0 {
-                tree.root_events.push(ev);
-            } else if let Some(node) = by_id.get(&parent).and_then(|&p| tree.nodes.get_mut(p)) {
-                node.events.push(ev);
-            } else {
-                tree.problems.push(format!(
+            match by_id.get(&parent).and_then(|&p| tree.nodes.get_mut(p)) {
+                Some(node) => node.events.push(ev),
+                None => tree.problems.push(format!(
                     "event {} references unknown parent {parent}",
                     ev.name
-                ));
-                tree.root_events.push(ev);
+                )),
             }
         }
         // Deterministic child order: by start timestamp, then id.
@@ -207,7 +200,7 @@ impl SpanTree {
             node.children.sort_by_key(|&c| key(c));
         }
         tree.roots.sort_by_key(|&r| key(r));
-        Ok(tree)
+        tree
     }
 
     /// Non-fatal warnings collected during parsing (torn tails). Empty
@@ -244,12 +237,10 @@ impl SpanTree {
     /// Events with `name` anywhere in the tree.
     pub fn events_named(&self, name: Name) -> usize {
         let name = name.as_str();
-        self.root_events.iter().filter(|e| e.name == name).count()
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.events.iter().filter(|e| e.name == name).count())
-                .sum::<usize>()
+        self.nodes
+            .iter()
+            .map(|n| n.events.iter().filter(|e| e.name == name).count())
+            .sum()
     }
 
     /// Validate the trace: structural problems from parsing, unclosed or
@@ -279,14 +270,6 @@ impl SpanTree {
                         ev.name
                     ));
                 }
-            }
-        }
-        for ev in &self.root_events {
-            if !valid_name(&ev.name) {
-                errs.push(format!(
-                    "event name `{}` is not a lowercase dotted ident",
-                    ev.name
-                ));
             }
         }
         if errs.is_empty() {
@@ -321,14 +304,10 @@ impl SpanTree {
                 })
             });
         }
-        let events: usize =
-            self.root_events.len() + self.nodes.iter().map(|n| n.events.len()).sum::<usize>();
+        let events: usize = self.nodes.iter().map(|n| n.events.len()).sum();
         let mut out = format!("trace: {} span(s), {} event(s)\n", self.nodes.len(), events);
         for &r in &self.roots {
             self.render_node(r, 0, &slow, &mut out);
-        }
-        for ev in &self.root_events {
-            out.push_str(&format!("! {}{}\n", ev.name, fmt_pairs(&ev.labels)));
         }
         out
     }
@@ -378,6 +357,37 @@ fn fmt_attrs(pairs: &[(String, String)]) -> String {
     out
 }
 
+/// One parsed line: its 1-based number, its `trace` id if it has one,
+/// and the record.
+type Line = (usize, Option<u64>, JsonRecord);
+
+/// Parse every line of a JSONL document, applying the torn-tail rule
+/// (see [`SpanTree::parse_jsonl`]): a torn final line comes back as a
+/// warning.
+fn parse_lines(input: &str) -> Result<(Vec<Line>, Vec<String>), String> {
+    let lines: Vec<(usize, &str)> = input
+        .lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty())
+        .collect();
+    let last = lines.last().map(|&(n, _)| n);
+    let mut out = Vec::with_capacity(lines.len());
+    for (lineno, line) in lines {
+        match parse_record(line) {
+            Ok((trace, rec)) => out.push((lineno, trace, rec)),
+            // A torn tail: the file's final line, unterminated, after at
+            // least one complete record. Anything else is a hard error.
+            Err(e) if Some(lineno) == last && !out.is_empty() && !input.ends_with('\n') => {
+                let warning = format!("torn tail: skipped truncated final line {lineno} ({e})");
+                return Ok((out, vec![warning]));
+            }
+            Err(e) => return Err(format!("line {lineno}: {e}")),
+        }
+    }
+    Ok((out, Vec::new()))
+}
+
 /// One parsed trace record.
 enum JsonRecord {
     SpanStart {
@@ -400,8 +410,9 @@ enum JsonRecord {
     },
 }
 
-/// Parse one JSONL line of the trace schema.
-fn parse_record(line: &str) -> Result<JsonRecord, String> {
+/// Parse one JSONL line of the trace schema, with its `trace` id if the
+/// line carries one.
+fn parse_record(line: &str) -> Result<(Option<u64>, JsonRecord), String> {
     let mut p = Parser {
         bytes: line.as_bytes(),
         pos: 0,
@@ -438,27 +449,28 @@ fn parse_record(line: &str) -> Result<JsonRecord, String> {
             })
             .ok_or_else(|| format!("missing object field `{k}`"))
     };
-    match str_field("type")?.as_str() {
-        "span_start" => Ok(JsonRecord::SpanStart {
+    let rec = match str_field("type")?.as_str() {
+        "span_start" => JsonRecord::SpanStart {
             id: num_field("id")?,
             parent: num_field("parent")?,
             name: str_field("name")?,
             ts_us: num_field("ts_us")?,
             labels: map_field("labels")?,
-        }),
-        "span_end" => Ok(JsonRecord::SpanEnd {
+        },
+        "span_end" => JsonRecord::SpanEnd {
             id: num_field("id")?,
             ts_us: num_field("ts_us")?,
             attrs: map_field("attrs")?,
-        }),
-        "event" => Ok(JsonRecord::Event {
+        },
+        "event" => JsonRecord::Event {
             name: str_field("name")?,
             parent: num_field("parent")?,
             ts_us: num_field("ts_us")?,
             labels: map_field("labels")?,
-        }),
-        other => Err(format!("unknown record type `{other}`")),
-    }
+        },
+        other => return Err(format!("unknown record type `{other}`")),
+    };
+    Ok((num_field("trace").ok(), rec))
 }
 
 enum JsonVal {
@@ -621,35 +633,66 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Clock;
+    use crate::ctx::{PhaseAcc, QueryCtx};
     use crate::names;
-    use crate::trace::{SpanId, Tracer};
+    use crate::ring::{FlightLabel, FlightName, FlightRec};
+    use crate::sampler::trace_jsonl;
     use std::sync::Arc;
 
-    fn sample_trace() -> String {
-        let t = Tracer::new(Arc::new(Clock::mock()));
-        let root = t.span(names::ENGINE_ROUND, SpanId::ROOT, &[("job", "fig6".into())]);
-        let a = t.span(names::ENGINE_TASK, root, &[("task", "0".into())]);
-        let b = t.span(names::ENGINE_TASK, root, &[("task", "1".into())]);
-        t.event(names::ENGINE_TASK_RETRY, root, &[("task", "1".into())]);
-        t.end(a, &[("sim_s", "1.5".into())]);
-        t.end(b, &[]);
-        t.end(root, &[]);
-        t.jsonl()
+    /// One round's trace through the writer: a root, two phase spans,
+    /// and a retry event under the map phase.
+    fn round_trace(trace_id: u64, root: u64) -> String {
+        let c = QueryCtx {
+            trace_id,
+            root,
+            phases: Arc::new(PhaseAcc::default()),
+        };
+        let mut recs = vec![
+            FlightRec::root(&c, FlightName::Round, 0, 3000),
+            FlightRec::span(&c, root + 1, FlightName::MapPhase, 0, 1000),
+            FlightRec::span(&c, root + 2, FlightName::ReducePhase, 1000, 2000),
+            FlightRec::event(&c, FlightName::TaskRetry, 500)
+                .with_parent(root + 1)
+                .with_label(FlightLabel::Task, 1),
+        ];
+        let labels = [("job", "fig6".to_string())];
+        trace_jsonl(trace_id, &mut recs, &labels, &[("sim_s", "1.5".into())])
     }
 
     #[test]
-    fn round_trips_the_tracer_output() {
-        let tree = SpanTree::parse_jsonl(&sample_trace()).expect("parse");
+    fn round_trips_the_writer_output() {
+        let tree = SpanTree::parse_jsonl(&round_trace(1, 1)).expect("parse");
         assert_eq!(tree.nodes.len(), 3);
         assert_eq!(tree.roots.len(), 1);
         tree.validate().expect("valid");
-        assert_eq!(tree.spans_named(names::ENGINE_TASK).len(), 2);
+        assert_eq!(tree.spans_named(names::ENGINE_PHASE_MAP).len(), 1);
         assert_eq!(tree.events_named(names::ENGINE_TASK_RETRY), 1);
+        let map = tree.spans_named(names::ENGINE_PHASE_MAP)[0];
+        assert_eq!(map.events[0].labels, vec![("task".into(), "1".into())]);
         let render = tree.render();
         assert!(render.contains("engine.round{job=fig6}"));
         assert!(render.contains("<-- slowest path"));
         assert!(render.contains("sim_s=1.5"));
+    }
+
+    #[test]
+    fn a_document_splits_per_trace_with_one_torn_tail_warning() {
+        let mut doc = round_trace(1, 1) + &round_trace(2, 4);
+        doc.push_str("{\"type\":\"span_start\",\"id\":9,\"par");
+        let (traces, warnings) = SpanTree::parse_per_trace(&doc).expect("parse");
+        assert_eq!(warnings.len(), 1);
+        assert!(warnings[0].contains("torn tail"));
+        let ids: Vec<u64> = traces.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![1, 2]);
+        for (_, tree) in &traces {
+            tree.validate().expect("each trace is whole");
+            assert_eq!(tree.roots.len(), 1);
+            assert_eq!(tree.nodes.len(), 3);
+        }
+        // A record without a trace id is an error, not a guess.
+        let bare = "{\"type\":\"span_start\",\"id\":1,\"parent\":0,\"name\":\"a.b\",\"ts_us\":0,\"labels\":{}}\n";
+        let err = SpanTree::parse_per_trace(bare).expect_err("no trace id");
+        assert!(err.contains("line 1"), "{err}");
     }
 
     #[test]
@@ -676,14 +719,27 @@ mod tests {
 
     #[test]
     fn unclosed_and_orphan_records_fail_validation() {
-        let jsonl = "\
-{\"type\":\"span_start\",\"id\":1,\"parent\":0,\"name\":\"a.b\",\"ts_us\":0,\"labels\":{}}
-{\"type\":\"span_end\",\"id\":9,\"ts_us\":5,\"attrs\":{}}
-";
+        let jsonl = r#"{"type":"span_start","id":1,"parent":0,"name":"a.b","ts_us":0,"labels":{}}
+{"type":"span_end","id":9,"ts_us":5,"attrs":{}}
+{"type":"span_start","id":1,"parent":0,"name":"a.c","ts_us":1,"labels":{}}
+{"type":"span_start","id":2,"parent":7,"name":"a.d","ts_us":2,"labels":{}}
+{"type":"span_end","id":2,"ts_us":5,"attrs":{}}
+{"type":"event","name":"a.e","parent":0,"ts_us":3,"labels":{}}
+"#;
         let tree = SpanTree::parse_jsonl(jsonl).expect("parse");
-        let errs = tree.validate().expect_err("invalid");
-        assert!(errs.iter().any(|e| e.contains("unknown span id 9")));
-        assert!(errs.iter().any(|e| e.contains("never closed")));
+        assert_eq!(tree.nodes.len(), 2, "the duplicate start is dropped");
+        assert_eq!(tree.nodes[0].name, "a.b", "the first start wins");
+        assert_eq!(tree.roots.len(), 2, "an orphan span surfaces as a root");
+        let errs = tree.validate().expect_err("invalid").join("\n");
+        for want in [
+            "unknown span id 9",
+            "span 1 (a.b) never closed",
+            "duplicate span id 1",
+            "span 2 references unknown parent 7",
+            "event a.e references unknown parent 0",
+        ] {
+            assert!(errs.contains(want), "{want} missing from {errs}");
+        }
     }
 
     #[test]
@@ -714,7 +770,7 @@ mod tests {
     fn torn_final_line_is_a_warning_not_an_error() {
         // A writer killed mid-append leaves a truncated, unterminated
         // final line. The recovered prefix must still parse + validate.
-        let mut jsonl = sample_trace();
+        let mut jsonl = round_trace(1, 1);
         jsonl.push_str("{\"type\":\"span_start\",\"id\":9,\"par");
         assert!(!jsonl.ends_with('\n'));
         let tree = SpanTree::parse_jsonl(&jsonl).expect("torn tail tolerated");
@@ -728,7 +784,7 @@ mod tests {
     fn newline_terminated_garbage_is_still_a_hard_error() {
         // A *complete* (newline-terminated) malformed line is corruption,
         // not a torn tail.
-        let mut jsonl = sample_trace();
+        let mut jsonl = round_trace(1, 1);
         jsonl.push_str("{\"type\":\"span_start\",\"id\":9,\"par\n");
         assert!(SpanTree::parse_jsonl(&jsonl).is_err());
         // Likewise a torn line with nothing recovered before it.

@@ -306,7 +306,7 @@ fn real_workspace_lockgraph_is_acyclic_and_deterministic() {
     let text = a.model.render_text();
     assert!(text.contains("verdict: acyclic"), "{text}");
     // Known lock classes must be present and named.
-    for class in ["server.queue", "dfs.inner", "store.cache", "trace.state"] {
+    for class in ["server.queue", "dfs.inner", "store.cache", "ring.rings"] {
         assert!(text.contains(class), "missing class {class} in:\n{text}");
     }
     // Deterministic: a second full analysis renders byte-identically.

@@ -120,12 +120,19 @@ fn flaky_tasks_are_retried_to_success() {
 
 #[test]
 fn corrupt_sketch_degrades_not_dies() {
-    let run = run_and_check(&chaos_cluster(), true, "corrupt sketch");
+    let obs = sp_cube_repro::obs::ObsHandle::mock();
+    let run = run_and_check(
+        &chaos_cluster().with_obs(obs.clone()),
+        true,
+        "corrupt sketch",
+    );
     assert!(
         run.degraded,
         "a corrupt sketch must trigger the fallback plan"
     );
     assert_eq!(run.metrics.fallback_events(), 1);
+    let degraded = sp_cube_repro::obs::names::SPCUBE_DEGRADED;
+    assert_eq!(obs.counter_value(degraded, &[]), Some(1));
     assert_eq!(
         run.metrics.round_count(),
         2,
@@ -199,7 +206,7 @@ fn trace_events_match_recovery_counters_exactly() {
         "scenario must speculate"
     );
 
-    let tree = SpanTree::parse_jsonl(&obs.trace_jsonl()).expect("trace must parse");
+    let tree = SpanTree::parse_jsonl(&obs.flight_jsonl()).expect("trace must parse");
     if let Err(problems) = tree.validate() {
         panic!("trace failed validation: {problems:?}");
     }
@@ -217,6 +224,22 @@ fn trace_events_match_recovery_counters_exactly() {
         tree.events_named(names::ENGINE_MACHINE_LOST) >= 1,
         "the planted machine loss must be visible in the trace"
     );
+    // Every recovery event hangs off its phase span, labelled with the
+    // task or machine it hit.
+    let phases = [names::ENGINE_PHASE_MAP, names::ENGINE_PHASE_REDUCE].map(|n| n.as_str());
+    for node in &tree.nodes {
+        for ev in &node.events {
+            assert!(
+                phases.contains(&node.name.as_str()),
+                "{} under {}",
+                ev.name,
+                node.name
+            );
+            let lost = ev.name == names::ENGINE_MACHINE_LOST.as_str();
+            let key = if lost { "machine" } else { "task" };
+            assert!(ev.labels.len() == 1 && ev.labels[0].0 == key, "{ev:?}");
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end checks for the observability layer: trace determinism under
-//! the mock clock, span-tree coverage of both SP-Cube rounds, and the
-//! paper's balance claim read straight off the per-reducer telemetry.
+//! the mock clock, one flight trace per SP-Cube round, and the paper's
+//! balance claim read straight off the per-reducer telemetry.
 
 use sp_cube_repro::agg::AggSpec;
 use sp_cube_repro::baselines::naive_mr_cube;
@@ -8,13 +8,28 @@ use sp_cube_repro::common::{Relation, Schema, Value};
 use sp_cube_repro::core::{SpCube, SpCubeConfig, SpCubeRun};
 use sp_cube_repro::datagen;
 use sp_cube_repro::mapreduce::ClusterConfig;
-use sp_cube_repro::obs::{names, ObsHandle, SpanTree};
+use sp_cube_repro::obs::{names, ObsHandle, SpanNode, SpanTree};
 
 /// One instrumented SP-Cube run on a fixed binomial workload.
 fn traced_run(obs: &ObsHandle) -> SpCubeRun {
     let rel = datagen::gen_binomial(4_000, 3, 0.4, 0xb1);
     let cluster = ClusterConfig::new(8, 64).with_obs(obs.clone());
     SpCube::run(&rel, &cluster, &SpCubeConfig::new(AggSpec::Count)).expect("SP-Cube run failed")
+}
+
+/// The value of `key` among a span's labels or attrs.
+fn pair<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
+    pairs
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+/// The one span named `name` in a round's trace.
+fn only(tree: &SpanTree, name: names::Name) -> &SpanNode {
+    let spans = tree.spans_named(name);
+    assert_eq!(spans.len(), 1, "one {name} per round");
+    spans[0]
 }
 
 /// Two identical runs under the mock clock must produce byte-identical
@@ -25,12 +40,12 @@ fn mock_clock_traces_are_byte_identical() {
     traced_run(&a);
     let b = ObsHandle::mock();
     traced_run(&b);
-    let trace_a = a.trace_jsonl();
+    let trace_a = a.flight_jsonl();
     assert!(
         !trace_a.is_empty(),
         "instrumented run must emit trace records"
     );
-    assert_eq!(trace_a, b.trace_jsonl(), "traces diverged under MockClock");
+    assert_eq!(trace_a, b.flight_jsonl(), "traces diverged under MockClock");
     assert_eq!(
         a.prometheus(),
         b.prometheus(),
@@ -38,44 +53,60 @@ fn mock_clock_traces_are_byte_identical() {
     );
 }
 
-/// The reconstructed span tree covers both rounds (sketch + cube) with
-/// per-task child spans, and validates clean.
+/// Each round (sketch + cube) is one kept flight trace that validates:
+/// its root carries the job, the reducer count and the simulated
+/// seconds, and its map and reduce phase spans tile it. Per-task
+/// simulated seconds live in the run's metrics.
 #[test]
 fn span_tree_covers_both_rounds_with_tasks() {
     let obs = ObsHandle::mock();
-    traced_run(&obs);
-    let tree = SpanTree::parse_jsonl(&obs.trace_jsonl()).expect("trace must parse");
-    if let Err(problems) = tree.validate() {
-        panic!("trace failed validation: {problems:?}");
+    let run = traced_run(&obs);
+    let (traces, warnings) = SpanTree::parse_per_trace(&obs.flight_jsonl()).expect("parse");
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(traces.len(), 2, "SP-Cube is a two-round algorithm");
+    for ((_, tree), round) in traces.iter().zip(&run.metrics.rounds) {
+        if let Err(problems) = tree.validate() {
+            panic!("trace failed validation: {problems:?}");
+        }
+        let root = only(tree, names::ENGINE_ROUND);
+        assert_eq!(tree.roots.len(), 1);
+        assert_eq!(pair(&root.labels, "job"), Some(round.name.as_str()));
+        let reducers = round.reduce_tasks.to_string();
+        assert_eq!(pair(&root.labels, "reducers"), Some(reducers.as_str()));
+        let sim_s = format!("{:.6}", round.simulated_seconds);
+        assert_eq!(pair(&root.attrs, "sim_s"), Some(sim_s.as_str()));
+        let (map, reduce) = (
+            only(tree, names::ENGINE_PHASE_MAP),
+            only(tree, names::ENGINE_PHASE_REDUCE),
+        );
+        assert_eq!(root.children.len(), 2, "the phases are the root's children");
+        assert_eq!(map.start_us, root.start_us, "map opens the round");
+        assert_eq!(map.end_us, Some(reduce.start_us), "reduce follows map");
+        assert_eq!(reduce.end_us, root.end_us, "reduce closes the round");
+        assert_eq!(round.map_times.len(), round.map_tasks);
+        assert_eq!(round.reduce_times.len(), round.reduce_tasks);
     }
-
-    let rounds = tree.spans_named(names::ENGINE_ROUND);
-    assert_eq!(rounds.len(), 2, "SP-Cube is a two-round algorithm");
-    let jobs: Vec<&str> = rounds
-        .iter()
-        .filter_map(|s| s.labels.iter().find(|(k, _)| k == "job"))
-        .map(|(_, v)| v.as_str())
-        .collect();
-    assert!(
-        jobs.contains(&"sp-sketch"),
-        "missing sketch round: {jobs:?}"
-    );
-    assert!(jobs.contains(&"sp-cube"), "missing cube round: {jobs:?}");
-
-    let tasks = tree.spans_named(names::ENGINE_TASK);
-    assert!(!tasks.is_empty(), "rounds must contain per-task spans");
-    assert!(
-        tasks
-            .iter()
-            .all(|t| t.attrs.iter().any(|(k, _)| k == "sim_s")),
-        "every task span carries its simulated duration"
-    );
-
-    let rendered = tree.render();
+    let jobs: Vec<&str> = run.metrics.rounds.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(jobs, ["sp-sketch", "sp-cube"]);
+    let rendered = SpanTree::parse_jsonl(&obs.flight_jsonl())
+        .expect("parse")
+        .render();
     assert!(
         rendered.contains("slowest path"),
         "render must flag the slowest path:\n{rendered}"
     );
+}
+
+/// A build keeps its traces without touching the serving sampler: no
+/// latency sample, no exemplar, no kept/dropped counter.
+#[test]
+fn a_build_alone_leaves_the_tail_sampler_untouched() {
+    let obs = ObsHandle::mock();
+    traced_run(&obs);
+    assert_eq!(obs.flight_kept().len(), 2, "both rounds kept");
+    assert!(!obs.prometheus().contains("store_flight"));
+    assert!(obs.flight_exemplars().is_empty());
+    assert_eq!(obs.flight_latency_quantile(0.99), 0.0);
 }
 
 /// Half the input planted in one hot group: naive hashing piles it onto
