@@ -9,7 +9,6 @@
 //! cargo run --release -p spcube-bench --bin inspect -- scrub <store-dir> [prefix]
 //! cargo run --release -p spcube-bench --bin inspect -- trace [dataset] [n] [--validate]
 //! cargo run --release -p spcube-bench --bin inspect -- serve-faults <seed> [reads]
-//! cargo run --release -p spcube-bench --bin inspect -- lockgraph [root] [--dot]
 //! cargo run --release -p spcube-bench --bin inspect -- flight <trace.jsonl> [top]
 //! ```
 //!
@@ -55,17 +54,12 @@
 //! `spcube serve-bench --profile --flight-out` persists: only the traces
 //! the tail sampler kept; or what `spcube cube --trace` writes: one
 //! trace per round), splits it per trace id, and renders the slowest
-//! traces with per-phase self-times — queue-wait, blob-IO, decode,
-//! merge, finalize — plus the full span tree of the single slowest one.
+//! traces with per-phase times — queue-wait, blob-IO, decode, merge and
+//! finalize for a query, map and reduce for a build round; only the
+//! families some trace has are shown — plus the full span tree of the
+//! single slowest one.
 //! A truncated final line (a torn tail from a crashed writer) is
 //! reported as a warning, not a failure.
-//!
-//! The `lockgraph` view runs the spcheck concurrency analyzer over the
-//! workspace (default root `.`) and renders the lock-acquisition graph:
-//! every named lock class with its declaration site, every may-acquire
-//! edge with the source line that creates it, and the acyclicity
-//! verdict. `--dot` emits Graphviz instead of text; a lock-order cycle
-//! exits non-zero.
 // Output path: nothing here may iterate in hash order (DESIGN.md §8).
 #![warn(clippy::disallowed_types)]
 
@@ -77,6 +71,7 @@ use spcube_core::{SpCube, SpCubeConfig};
 use spcube_datagen as datagen;
 use spcube_lattice::{BfsOrder, TupleLattice};
 use spcube_mapreduce::{ClusterConfig, Dfs, Phase};
+use spcube_obs::{names, Name, SpanTree};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,10 +94,6 @@ fn main() {
     }
     if dataset == "serve-faults" {
         inspect_serve_faults(&args);
-        return;
-    }
-    if dataset == "lockgraph" {
-        inspect_lockgraph(&args);
         return;
     }
     if dataset == "flight" {
@@ -226,37 +217,8 @@ fn main() {
 
 /// The `trace` view: run SP-Cube with tracing on the deterministic mock
 /// clock, render the span tree, and optionally validate the JSONL export.
-/// Render the workspace lock-acquisition graph via the spcheck analyzer.
-/// Output is deterministic (BTreeMap-ordered classes and edges), so the
-/// dump is diffable across runs and suitable as a CI artifact.
-fn inspect_lockgraph(args: &[String]) {
-    let mut root = String::from(".");
-    let mut dot = false;
-    for a in &args[1..] {
-        match a.as_str() {
-            "--dot" => dot = true,
-            other => root = other.to_string(),
-        }
-    }
-    let analysis = match spcheck::run_full(std::path::Path::new(&root)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("lockgraph: cannot walk {root}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if dot {
-        print!("{}", analysis.model.render_dot());
-    } else {
-        print!("{}", analysis.model.render_text());
-    }
-    if !analysis.model.cycles().is_empty() {
-        std::process::exit(1);
-    }
-}
-
 fn inspect_trace(args: &[String]) {
-    use spcube_obs::{ObsHandle, SpanTree};
+    use spcube_obs::ObsHandle;
 
     let dataset = args.get(1).map(String::as_str).unwrap_or("binomial");
     let n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20_000);
@@ -329,8 +291,6 @@ fn inspect_trace(args: &[String]) {
 /// The `flight` view: render the slowest persisted flight traces with
 /// per-phase self-times, and the full span tree of the slowest one.
 fn inspect_flight(args: &[String]) {
-    use spcube_obs::{names, Name, SpanTree};
-
     let Some(path) = args.get(1) else {
         eprintln!("flight: need a trace JSONL path");
         std::process::exit(2);
@@ -361,59 +321,21 @@ fn inspect_flight(args: &[String]) {
         println!("no flight traces in {path} (nothing was tail-sampled in)");
         return;
     }
-
-    // A query's latency split: queue-wait, blob-IO, decode, merge and
-    // finalize (a build round's trace has none of these spans).
-    let phases = [
-        names::SERVE_PHASE_QUEUE_WAIT,
-        names::STORE_FLIGHT_BLOB_IO,
-        names::STORE_FLIGHT_DECODE,
-        names::STORE_FLIGHT_MERGE,
-        names::SERVE_PHASE_FINALIZE,
-    ];
-    struct Row {
-        id: u64,
-        total: u64,
-        phases: [u64; 5],
-        events: usize,
-        tree: SpanTree,
-    }
-    let mut rows: Vec<Row> = Vec::new();
-    for (id, tree) in groups {
-        if let Err(problems) = tree.validate() {
-            eprintln!("flight: trace {id} is structurally broken:");
-            for p in &problems {
-                eprintln!("  {p}");
-            }
+    let (columns, rows) = match flight_table(groups) {
+        Ok(table) => table,
+        Err(e) => {
+            eprintln!("flight: {e}");
             std::process::exit(1);
         }
-        let phase = |name: Name| -> u64 {
-            tree.spans_named(name)
-                .iter()
-                .map(|s| s.end_us.unwrap_or(s.start_us).saturating_sub(s.start_us))
-                .sum()
-        };
-        rows.push(Row {
-            id,
-            // The root span: a query's `serve.phase.total`, or a build
-            // round's `engine.round`.
-            total: tree.roots.iter().map(|&r| tree.total_us(r)).sum(),
-            phases: phases.map(phase),
-            events: tree.nodes.iter().map(|n| n.events.len()).sum(),
-            tree,
-        });
-    }
-    rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.id.cmp(&b.id)));
+    };
 
     println!(
         "{} persisted trace(s); slowest {} by end-to-end latency (us):",
         rows.len(),
         top.min(rows.len())
     );
-    println!(
-        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
-        "trace", "total", "queue", "blob_io", "decode", "merge", "finalize", "events"
-    );
+    let header: String = columns.iter().map(|c| format!(" {c:>10}")).collect();
+    println!("{:>10} {:>10}{header} {:>7}", "trace", "total", "events");
     for r in rows.iter().take(top) {
         let phases: String = r.phases.iter().map(|us| format!(" {us:>10}")).collect();
         println!("{:>10} {:>10}{phases} {:>7}", r.id, r.total, r.events);
@@ -422,6 +344,78 @@ fn inspect_flight(args: &[String]) {
         println!("\nslowest trace {}:", slowest.id);
         println!("{}", slowest.tree.render());
     }
+}
+
+/// The `flight` table's phase columns in two families: a query's latency
+/// split, then a build round's. A family is shown when some trace in the
+/// file has one of its spans, so a query-trace file keeps its five
+/// columns and a `spcube cube --trace` file shows map and reduce.
+const FLIGHT_PHASES: [&[(&str, Name)]; 2] = [
+    &[
+        ("queue", names::SERVE_PHASE_QUEUE_WAIT),
+        ("blob_io", names::STORE_FLIGHT_BLOB_IO),
+        ("decode", names::STORE_FLIGHT_DECODE),
+        ("merge", names::STORE_FLIGHT_MERGE),
+        ("finalize", names::SERVE_PHASE_FINALIZE),
+    ],
+    &[
+        ("map", names::ENGINE_PHASE_MAP),
+        ("reduce", names::ENGINE_PHASE_REDUCE),
+    ],
+];
+
+/// One persisted trace in the `flight` table.
+struct FlightRow {
+    id: u64,
+    /// The root span: a query's `serve.phase.total`, or a build round's
+    /// `engine.round`.
+    total: u64,
+    /// Microseconds per shown phase column.
+    phases: Vec<u64>,
+    events: usize,
+    tree: SpanTree,
+}
+
+/// Validate every trace and tabulate it, slowest first: the shown phase
+/// column names and one row per trace. Fails on the first structurally
+/// broken trace.
+fn flight_table(
+    groups: Vec<(u64, SpanTree)>,
+) -> Result<(Vec<&'static str>, Vec<FlightRow>), String> {
+    for (id, tree) in &groups {
+        if let Err(problems) = tree.validate() {
+            return Err(format!(
+                "trace {id} is structurally broken:\n  {}",
+                problems.join("\n  ")
+            ));
+        }
+    }
+    let in_file = |name: Name| groups.iter().any(|(_, t)| !t.spans_named(name).is_empty());
+    let shown: Vec<(&'static str, Name)> = FLIGHT_PHASES
+        .iter()
+        .filter(|family| family.iter().any(|&(_, name)| in_file(name)))
+        .flat_map(|family| family.iter().copied())
+        .collect();
+    let mut rows: Vec<FlightRow> = groups
+        .into_iter()
+        .map(|(id, tree)| FlightRow {
+            id,
+            total: tree.roots.iter().map(|&r| tree.total_us(r)).sum(),
+            phases: shown
+                .iter()
+                .map(|&(_, name)| {
+                    tree.spans_named(name)
+                        .iter()
+                        .map(|s| s.end_us.unwrap_or(s.start_us).saturating_sub(s.start_us))
+                        .sum()
+                })
+                .collect(),
+            events: tree.nodes.iter().map(|n| n.events.len()).sum(),
+            tree,
+        })
+        .collect();
+    rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.id.cmp(&b.id)));
+    Ok((shown.iter().map(|&(column, _)| column).collect(), rows))
 }
 
 /// The `serve-faults` view: render the chaos schedule for a seed, path by
@@ -671,5 +665,83 @@ fn inspect_generations(args: &[String]) {
         for path in &scan.orphans {
             println!("  {path}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One build round (trace 1) and one query (trace 2), as the flight
+    /// writer persists them.
+    const MIXED: &str = r#"{"type":"span_start","id":1,"parent":0,"name":"engine.round","ts_us":0,"trace":1,"labels":{"job":"cube"}}
+{"type":"span_start","id":2,"parent":1,"name":"engine.phase.map","ts_us":0,"trace":1,"labels":{}}
+{"type":"event","name":"engine.task.retry","parent":2,"ts_us":300,"trace":1,"labels":{"task":"2"}}
+{"type":"span_end","id":2,"ts_us":4000,"trace":1,"attrs":{}}
+{"type":"span_start","id":3,"parent":1,"name":"engine.phase.reduce","ts_us":4000,"trace":1,"labels":{}}
+{"type":"span_end","id":3,"ts_us":9000,"trace":1,"attrs":{}}
+{"type":"span_end","id":1,"ts_us":9000,"trace":1,"attrs":{}}
+{"type":"span_start","id":10,"parent":0,"name":"serve.phase.total","ts_us":0,"trace":2,"labels":{}}
+{"type":"span_start","id":11,"parent":10,"name":"serve.phase.queue_wait","ts_us":0,"trace":2,"labels":{}}
+{"type":"span_end","id":11,"ts_us":100,"trace":2,"attrs":{}}
+{"type":"span_start","id":12,"parent":10,"name":"store.flight.blob_io","ts_us":100,"trace":2,"labels":{}}
+{"type":"span_end","id":12,"ts_us":300,"trace":2,"attrs":{}}
+{"type":"span_start","id":13,"parent":10,"name":"store.flight.decode","ts_us":300,"trace":2,"labels":{}}
+{"type":"span_end","id":13,"ts_us":350,"trace":2,"attrs":{}}
+{"type":"span_start","id":14,"parent":10,"name":"serve.phase.finalize","ts_us":350,"trace":2,"labels":{}}
+{"type":"span_end","id":14,"ts_us":500,"trace":2,"attrs":{}}
+{"type":"span_end","id":10,"ts_us":500,"trace":2,"attrs":{}}
+"#;
+
+    /// A row as `(trace, total, phases, events)`.
+    type Row = (u64, u64, Vec<u64>, usize);
+
+    fn table(jsonl: &str) -> (Vec<&'static str>, Vec<Row>) {
+        let (groups, warnings) = SpanTree::parse_per_trace(jsonl).expect("parse");
+        assert!(warnings.is_empty());
+        let (columns, rows) = flight_table(groups).expect("valid traces");
+        let rows = rows
+            .into_iter()
+            .map(|r| (r.id, r.total, r.phases, r.events))
+            .collect();
+        (columns, rows)
+    }
+
+    #[test]
+    fn flight_table_shows_the_phase_families_the_file_has() {
+        let (columns, rows) = table(MIXED);
+        assert_eq!(
+            columns,
+            ["queue", "blob_io", "decode", "merge", "finalize", "map", "reduce"]
+        );
+        assert_eq!(
+            rows,
+            [
+                (1, 9000, vec![0, 0, 0, 0, 0, 4000, 5000], 1),
+                (2, 500, vec![100, 200, 50, 0, 150, 0, 0], 0),
+            ]
+        );
+
+        // Each family alone: a query file keeps its five columns, merge
+        // included, and a build file shows only map and reduce.
+        let (query, build): (Vec<&str>, Vec<&str>) =
+            MIXED.lines().partition(|l| l.contains(r#""trace":2"#));
+        let (columns, rows) = table(&(query.join("\n") + "\n"));
+        assert_eq!(columns, ["queue", "blob_io", "decode", "merge", "finalize"]);
+        assert_eq!(rows, [(2, 500, vec![100, 200, 50, 0, 150], 0)]);
+        let (columns, rows) = table(&(build.join("\n") + "\n"));
+        assert_eq!(columns, ["map", "reduce"]);
+        assert_eq!(rows, [(1, 9000, vec![4000, 5000], 1)]);
+    }
+
+    #[test]
+    fn a_broken_trace_fails_the_table() {
+        let unclosed = MIXED.replace(
+            "{\"type\":\"span_end\",\"id\":3,\"ts_us\":9000,\"trace\":1,\"attrs\":{}}\n",
+            "",
+        );
+        let (groups, _) = SpanTree::parse_per_trace(&unclosed).expect("parse");
+        let err = flight_table(groups).err().expect("unclosed span");
+        assert!(err.starts_with("trace 1 is structurally broken:"), "{err}");
     }
 }

@@ -6,8 +6,8 @@
 //! integer, `1` = length-prefixed UTF-8), and a trailing 64-bit XXH64
 //! checksum (seed 0) over everything before it. This module is the one
 //! place those conventions — and in particular the XXH64 primes — are
-//! defined; `spcheck` rule R2 rejects any second literal occurrence
-//! elsewhere.
+//! defined; the tier-1 test `tests/format_constants.rs` rejects any
+//! second literal occurrence elsewhere.
 //!
 //! Decoding is fully defensive: every read is bounds-checked, every
 //! declared element count is validated against the bytes actually left,

@@ -22,6 +22,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use spcube_common::sync::assert_unlocked;
 use spcube_common::{Error, Result};
 use spcube_mapreduce::Dfs;
 
@@ -124,6 +125,7 @@ impl BlobStore for DirBlobs {
     /// the final name, fsync the parent directory. Readers either see the
     /// complete old blob or the complete new one, never a torn mix.
     fn put(&self, path: &str, data: Vec<u8>) -> Result<()> {
+        assert_unlocked();
         let full = self.resolve(path)?;
         let Some(dir) = full.parent() else {
             return Err(Error::Parse(format!("blob path {path:?} has no parent")));
@@ -152,10 +154,12 @@ impl BlobStore for DirBlobs {
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
+        assert_unlocked();
         fs::read(self.resolve(path)?).map_err(|e| Error::Io(format!("reading blob {path}"), e))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<(String, u64)>> {
+        assert_unlocked();
         let dir = self.resolve(prefix)?;
         let mut out = Vec::new();
         if dir.is_dir() {
@@ -166,6 +170,7 @@ impl BlobStore for DirBlobs {
     }
 
     fn delete(&self, path: &str) -> Result<()> {
+        assert_unlocked();
         match fs::remove_file(self.resolve(path)?) {
             Ok(()) => Ok(()),
             // Idempotent: a missing blob is already deleted.
@@ -197,6 +202,55 @@ mod tests {
         BlobStore::delete(&dfs, "store/a").unwrap();
         BlobStore::delete(&dfs, "store/a").unwrap(); // idempotent
         assert!(BlobStore::list(&dfs, "store").unwrap().is_empty());
+    }
+
+    /// The message of the panic `f` raises, if it raises one.
+    #[cfg(debug_assertions)]
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(err.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
+    /// Blob IO under a held lock panics: through `Dfs`, whose own lock
+    /// (taken in `mapreduce`) trips the second-lock check, and through
+    /// `DirBlobs`, whose methods check before touching the disk. A guard
+    /// scoped before the call passes.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn blob_io_under_a_held_lock_panics() {
+        use spcube_common::sync::lock_or_recover;
+        use std::sync::Mutex;
+
+        let m = Mutex::new(());
+        let dfs = Dfs::new();
+        let root = temp_root("held");
+        let dir = DirBlobs::new(&root);
+        let msg = panic_message(|| {
+            let _g = lock_or_recover(&m);
+            let _ = BlobStore::get(&dfs, "a");
+        })
+        .expect("Dfs::get under a held lock panics");
+        assert!(msg.starts_with("flat lock rule: lock at "), "{msg}");
+        assert!(msg.contains("dfs.rs:") && msg.contains("blob.rs:"), "{msg}");
+
+        let msg = panic_message(|| {
+            let _g = lock_or_recover(&m);
+            let _ = dir.put("a", vec![1]);
+        })
+        .expect("DirBlobs::put under a held lock panics");
+        assert!(
+            msg.starts_with("flat lock rule: blocking call at "),
+            "{msg}"
+        );
+        assert_eq!(msg.matches("blob.rs:").count(), 2, "{msg}");
+        assert!(dir.list("").unwrap().is_empty(), "nothing was written");
+
+        {
+            let _g = lock_or_recover(&m);
+        }
+        dir.put("a", vec![1]).unwrap();
+        assert_eq!(dir.get("a").unwrap(), vec![1]);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

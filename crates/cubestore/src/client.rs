@@ -41,14 +41,15 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use spcube_common::retry::Backoff;
-use spcube_common::sync::lock_or_recover;
+use spcube_common::sync::{assert_unlocked, lock_or_recover};
 use spcube_common::{Error, Mask, Result};
 use spcube_obs::{
     names, FlightLabel, FlightName, FlightRec, Histogram, ObsHandle, PhaseBreakdown, QueryCtx,
 };
 
 use crate::server::{
-    reply_channel, Answer, Attempt, CubeServer, Deadline, Request, Response, ServeError,
+    recv_answer, reply_channel, Answer, Attempt, CubeServer, Deadline, Request, Response,
+    ServeError,
 };
 
 /// Delay schedule between retries, in seconds.
@@ -348,13 +349,14 @@ impl ResilientClient {
         self.server
             .submit_traced(req.clone(), deadline, ctx.cloned(), tx, Attempt::Primary)?;
         if let Some(spare) = spare {
+            assert_unlocked();
             match rx.recv_timeout(Duration::from_micros(self.hedge_delay_us())) {
                 Ok((_, outcome)) => return outcome,
                 // The primary is slow: fire a duplicate and race the two.
                 Err(_) => self.hedge(req, deadline, ctx, spare),
             }
         }
-        let (attempt, outcome) = rx.recv().map_err(|_| ServeError::ShuttingDown)?;
+        let (attempt, outcome) = recv_answer(&rx)?;
         if attempt == Attempt::Hedge {
             self.hedges_won.fetch_add(1, Ordering::Relaxed);
             self.obs.inc(names::SERVE_HEDGE_WON, &[]);
@@ -480,6 +482,10 @@ impl ResilientClient {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a raw gate wedges a worker while the test blocks in `query`, which the flat lock rule would refuse"
+)]
 mod tests {
     use super::*;
     use crate::faults::{FaultSchedule, FaultyBlobs};

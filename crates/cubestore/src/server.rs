@@ -29,7 +29,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use spcube_agg::AggOutput;
-use spcube_common::sync::{lock_or_recover, wait_or_recover};
+use spcube_common::sync::{assert_unlocked, lock_or_recover, wait_or_recover};
 use spcube_common::{Error, Group, Mask, Value};
 use spcube_cubealg::{check_cuboid, roll_up_cuboid, slice_slot, CubeRead};
 use spcube_obs::ctx as flightctx;
@@ -243,8 +243,19 @@ pub type Answer = (Attempt, Result<Response, ServeError>);
 /// attempt tag on every answer lets both attempts of a hedged query share
 /// one channel, so its client blocks in one `recv` for whichever lands
 /// first.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "one answer per submission bounds it; the admission gate bounds submissions"
+)]
 pub(crate) fn reply_channel() -> (mpsc::Sender<Answer>, mpsc::Receiver<Answer>) {
     mpsc::channel()
+}
+
+/// Block for the next answer on a reply channel. A closed channel means
+/// every sender is gone: the server shut down.
+pub(crate) fn recv_answer(rx: &mpsc::Receiver<Answer>) -> Result<Answer, ServeError> {
+    assert_unlocked();
+    rx.recv().map_err(|_| ServeError::ShuttingDown)
 }
 
 /// Where a worker sends one request's answer.
@@ -257,6 +268,7 @@ impl ReplyTo {
     /// Send the tagged answer. The submitter may have given up (or
     /// already taken the other attempt's answer); a dead receiver is fine.
     fn deliver(self, outcome: Result<Response, ServeError>) {
+        assert_unlocked();
         let _ = self.tx.send((self.attempt, outcome));
     }
 }
@@ -402,7 +414,7 @@ impl CubeServer {
         deadline: Option<Deadline>,
     ) -> Result<Response, ServeError> {
         let rx = self.submit_at(req, deadline)?;
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?.1
+        recv_answer(&rx)?.1
     }
 
     /// Current reading of the server's deadline clock, in microseconds.
@@ -483,12 +495,18 @@ impl CubeServer {
             }
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
+        self.join_workers();
+        self.stats()
+    }
+
+    /// Join every worker; the caller has already set `shutting_down`.
+    fn join_workers(&mut self) {
+        assert_unlocked();
         for w in self.workers.drain(..) {
             // A worker that panicked already dropped its response senders;
             // nothing to clean up, so a poisoned join is not a second crash.
             let _ = w.join();
         }
-        self.stats()
     }
 }
 
@@ -502,9 +520,7 @@ impl Drop for CubeServer {
             q.shutting_down = true;
         }
         self.shared.wake.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.join_workers();
     }
 }
 
@@ -601,6 +617,10 @@ pub fn answer<R: CubeRead + ?Sized>(read: &R, req: &Request) -> Response {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a raw gate wedges a worker while the test blocks in `query`, which the flat lock rule would refuse"
+)]
 mod tests {
     use super::*;
     use crate::store::{write_store, StoreStats};
@@ -1136,6 +1156,50 @@ mod tests {
         assert_eq!(wedged.recv().expect("answer").1, Ok(Response::Len(1)));
         let stats = shutdown.join().expect("shutdown join");
         assert_eq!(stats.served, 1);
+    }
+
+    /// The message of the panic `call` raises while this thread holds a
+    /// checked lock.
+    #[cfg(debug_assertions)]
+    fn panic_under_lock(call: impl FnOnce()) -> String {
+        let m = Mutex::new(());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g = lock_or_recover(&m);
+            call();
+        }));
+        let err = caught.expect_err("a blocking call under a held lock panics");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    /// Each blocking call of the serving path — a worker's reply `send`,
+    /// a submitter's `recv`, the shutdown `join` — panics under a held
+    /// lock before it blocks, naming its own site and the lock's.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn blocking_under_a_held_lock_panics() {
+        let mut server = CubeServer::start(serving_store(), ServerConfig::default());
+        let rx = server
+            .submit(Request::CuboidLen { mask: Mask(0b11) })
+            .expect("submit");
+        let (tx, _open) = reply_channel();
+        let reply = ReplyTo {
+            tx,
+            attempt: Attempt::Primary,
+        };
+        for msg in [
+            panic_under_lock(|| reply.deliver(Ok(Response::Len(0)))),
+            panic_under_lock(|| drop(recv_answer(&rx))),
+            panic_under_lock(|| server.join_workers()),
+        ] {
+            assert!(
+                msg.starts_with("flat lock rule: blocking call at "),
+                "{msg}"
+            );
+            assert_eq!(msg.matches("server.rs:").count(), 2, "{msg}");
+        }
+        // Nothing blocked: the answer is still there, the workers still run.
+        assert_eq!(recv_answer(&rx).expect("answer").1, Ok(Response::Len(3)));
+        assert_eq!(server.shutdown().served, 1);
     }
 
     #[test]

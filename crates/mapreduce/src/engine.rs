@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use spcube_common::sync::lock_or_recover;
+use spcube_common::sync::{assert_unlocked, lock_or_recover};
 use spcube_common::{Error, Result};
 use spcube_obs::{names, FlightLabel, FlightName, FlightRec, ObsHandle, QueryCtx};
 
@@ -206,6 +206,7 @@ fn run_round<J: MrJob>(
     let next_task = AtomicUsize::new(0);
     let workers = cluster.threads.min(k).max(1);
 
+    assert_unlocked();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -358,6 +359,7 @@ fn run_round<J: MrJob>(
     let next_red = AtomicUsize::new(0);
     let red_workers = cluster.threads.min(reducers).max(1);
 
+    assert_unlocked();
     std::thread::scope(|scope| {
         for _ in 0..red_workers {
             scope.spawn(|| loop {
