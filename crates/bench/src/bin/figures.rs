@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Experiments: fig4 fig5 fig6 fig7 fig8 naive traffic balance ablations
-//! rounds serve profile incremental all.
+//! rounds all.
 //! CSV series land in the output directory (default `bench_results/`).
+//! Serving is measured by the `cubebench` workspace, not here.
 
 use spcube_bench::experiments::{self, ExpConfig};
 
@@ -55,12 +56,9 @@ fn main() {
             "balance" => drop(experiments::balance(&cfg)),
             "ablations" => drop(experiments::ablations(&cfg)),
             "rounds" => drop(experiments::rounds(&cfg)),
-            "serve" => drop(experiments::serve_bench(&cfg)),
-            "profile" => drop(experiments::serve_profile(&cfg)),
-            "incremental" => drop(experiments::store_incremental(&cfg)),
             "all" => experiments::all(&cfg),
             other => die(&format!(
-                "unknown experiment `{other}` (expected fig4..fig8, naive, traffic, balance, ablations, rounds, serve, profile, incremental, all)"
+                "unknown experiment `{other}` (expected fig4..fig8, naive, traffic, balance, ablations, rounds, all)"
             )),
         }
         eprintln!("[{name}] finished in {:.1}s wall", started.seconds());

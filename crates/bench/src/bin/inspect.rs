@@ -8,7 +8,6 @@
 //! cargo run --release -p spcube-bench --bin inspect -- layers <store-dir> [prefix]
 //! cargo run --release -p spcube-bench --bin inspect -- scrub <store-dir> [prefix]
 //! cargo run --release -p spcube-bench --bin inspect -- trace [dataset] [n] [--validate]
-//! cargo run --release -p spcube-bench --bin inspect -- serve-faults <seed> [reads]
 //! cargo run --release -p spcube-bench --bin inspect -- flight <trace.jsonl> [top]
 //! ```
 //!
@@ -34,14 +33,6 @@
 //! but nothing is quarantined or rewritten — corruption is reported with
 //! what a repairing `spcube scrub` run would do about it.
 //!
-//! The `serve-faults` view renders the deterministic fault schedule the
-//! CLI's `serve-bench --chaos --chaos-seed <seed>` would inject, without
-//! running anything: per segment path of a 4-d store, which blobs are
-//! sticky-out and what each of the first few reads draws (outage,
-//! transient failure, latency spike, or clean). What it prints is exactly
-//! what a chaos run replays — the schedule is a pure function of
-//! `(seed, path, read index)`.
-//!
 //! The `trace` view runs SP-Cube with the observability layer on the
 //! deterministic mock clock and renders its flight traces — one per
 //! round, split into map and reduce phases, with retry/speculation
@@ -51,9 +42,9 @@
 //! unclosed spans, dangling parents, or malformed records.
 //!
 //! The `flight` view reads a flight-recorder JSONL file (what
-//! `spcube serve-bench --profile --flight-out` persists: only the traces
-//! the tail sampler kept; or what `spcube cube --trace` writes: one
-//! trace per round), splits it per trace id, and renders the slowest
+//! `spcube cube --trace` writes: one trace per round; or an
+//! `ObsHandle::flight_jsonl` dump of the query traces the tail sampler
+//! kept), splits it per trace id, and renders the slowest
 //! traces with per-phase times — queue-wait, blob-IO, decode, merge and
 //! finalize for a query, map and reduce for a build round; only the
 //! families some trace has are shown — plus the full span tree of the
@@ -90,10 +81,6 @@ fn main() {
     }
     if dataset == "trace" {
         inspect_trace(&args);
-        return;
-    }
-    if dataset == "serve-faults" {
-        inspect_serve_faults(&args);
         return;
     }
     if dataset == "flight" {
@@ -416,67 +403,6 @@ fn flight_table(
         .collect();
     rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.id.cmp(&b.id)));
     Ok((shown.iter().map(|&(column, _)| column).collect(), rows))
-}
-
-/// The `serve-faults` view: render the chaos schedule for a seed, path by
-/// path and read by read, using the same pure draws the live injector
-/// replays.
-fn inspect_serve_faults(args: &[String]) {
-    use spcube_cubestore::{segment_path, FaultKind, FaultSchedule};
-
-    let Some(seed) = args.get(1).and_then(|s| s.parse::<u64>().ok()) else {
-        eprintln!("usage: inspect serve-faults <seed> [reads]");
-        std::process::exit(2);
-    };
-    let reads: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    // Mirror the CLI's `serve-bench --chaos` schedule so the preview is
-    // the schedule a chaos run with this seed actually injects.
-    let schedule = FaultSchedule {
-        seed,
-        transient_fail_prob: 0.05,
-        latency_spike_prob: 0.10,
-        spike_us: 20_000,
-        only_matching: Some(".cseg".to_string()),
-        ..FaultSchedule::default()
-    };
-    let d = 4usize;
-    println!(
-        "chaos schedule for seed {seed} (transient {:.2}, spike {:.2} @ {}us, \
-         cuboid segments of a {d}-d store, generation 1):",
-        schedule.transient_fail_prob, schedule.latency_spike_prob, schedule.spike_us
-    );
-    println!(
-        "  per-read draws: o = sticky outage, t = transient failure, L = latency spike, . = clean"
-    );
-    let mut faulted = 0usize;
-    for bits in 0..(1u32 << d) {
-        let mask = Mask(bits);
-        let path = segment_path("cube", 1, d, mask);
-        let sticky = if schedule.sticky_out(&path) {
-            " STICKY-OUT"
-        } else {
-            ""
-        };
-        let line: String = (0..reads)
-            .map(|n| match schedule.preview(&path, n) {
-                Some(FaultKind::Outage) => 'o',
-                Some(FaultKind::Transient) => 't',
-                Some(FaultKind::Latency) => 'L',
-                // Torn and crash are write-side kinds; the read preview
-                // never draws them, but the match must say so.
-                Some(FaultKind::Torn | FaultKind::Crash) => 'x',
-                None => '.',
-            })
-            .collect();
-        if line.chars().any(|c| c != '.') {
-            faulted += 1;
-        }
-        println!("  cuboid {:0>width$b}  {line}{sticky}", mask.0, width = d);
-    }
-    println!(
-        "{faulted} of {} segments draw at least one fault in their first {reads} read(s)",
-        1u32 << d
-    );
 }
 
 /// The `layers` view: recovery-scan an incremental store read-only and

@@ -445,15 +445,6 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
             speculative_launches: run.metrics.speculative_launches(),
             wasted_seconds: run.metrics.wasted_seconds(),
             fallback_events: run.metrics.fallback_events(),
-            qps: None,
-            p50_us: None,
-            p99_us: None,
-            cache_hit_rate: None,
-            degraded_recomputes: None,
-            deadline_miss_rate: None,
-            hedge_win_rate: None,
-            ingest_retries: None,
-            scrub_repaired: None,
         });
     }
     // All variants must produce the same cube.
@@ -463,557 +454,6 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
         "ablations disagree: {sizes:?}"
     );
     cfg.emit("ablations", &rows);
-    rows
-}
-
-/// Query-serving benchmark (tentpole read path): build a cube with
-/// SP-Cube, persist it to the columnar CubeStore, then serve Zipf-skewed
-/// query workloads of two skews through the concurrent [`CubeServer`] and
-/// report QPS, p50/p99 latency, and segment-cache hit rate per skew. The
-/// skewed workload concentrates on a few hot cuboids, so its cache hit
-/// rate must be at least as good as the near-uniform one's.
-///
-/// A third row serves the same skewed workload after a hot segment blob
-/// is corrupted in place: queries keep getting answered through the
-/// store's degraded recompute, a scrub pass then repairs the blob, and
-/// the row records how many recomputes the run cost and how many blobs
-/// the scrub repaired.
-///
-/// [`CubeServer`]: spcube_cubestore::CubeServer
-pub fn serve_bench(cfg: &ExpConfig) -> Vec<Measurement> {
-    use std::sync::Arc;
-
-    use spcube_common::Mask;
-    use spcube_core::{SpCube, SpCubeConfig};
-    use spcube_cubestore::{segment_path, BlobStore, CubeStore, ScrubConfig, Scrubber};
-    use spcube_mapreduce::Dfs;
-
-    use crate::serving::{run_serving, ServeBenchConfig};
-
-    let n = cfg.scaled(20_000);
-    let rel = datagen::gen_zipf(n, 4, 0x5e7);
-    let cluster = cluster_for(n, n / K, 150e6);
-    let dfs = Arc::new(Dfs::new());
-    let stored = SpCube::run_and_store(
-        &rel,
-        &cluster,
-        &SpCubeConfig::new(AggSpec::Count),
-        &dfs,
-        "serve",
-    )
-    .expect("build+store failed");
-    let store = Arc::new(
-        CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "serve")
-            .expect("store open failed")
-            .with_recovery(rel.clone())
-            .with_cache_capacity(4),
-    );
-
-    let queries = n.clamp(1_000, 8_000);
-    let serve_cfg = ServeBenchConfig::default();
-    let measurement =
-        |label: &'static str, x: f64, report: &crate::serving::ServingReport| Measurement {
-            algo: label,
-            x,
-            total_seconds: Some(0.0),
-            avg_map_seconds: 0.0,
-            avg_reduce_seconds: 0.0,
-            map_output_mb: 0.0,
-            sketch_kb: None,
-            rounds: stored.run.metrics.round_count(),
-            spilled_mb: 0.0,
-            imbalance: 1.0,
-            cube_groups: stored.run.cube.len(),
-            wall_seconds: report.served as f64 / report.qps.max(f64::MIN_POSITIVE),
-            task_retries: 0,
-            tasks_lost: 0,
-            re_executions: 0,
-            speculative_launches: 0,
-            wasted_seconds: 0.0,
-            fallback_events: 0,
-            qps: Some(report.qps),
-            p50_us: Some(report.p50_us),
-            p99_us: Some(report.p99_us),
-            cache_hit_rate: Some(report.cache_hit_rate),
-            degraded_recomputes: Some(report.degraded_recomputes),
-            deadline_miss_rate: Some(report.deadline_miss_rate),
-            hedge_win_rate: Some(report.hedge_win_rate),
-            ingest_retries: None,
-            scrub_repaired: None,
-        };
-    let mut rows = Vec::new();
-    for skew in [0.5f64, 1.5] {
-        let workload = datagen::gen_query_workload(&rel, queries, skew, 0x9e + skew as u64);
-        let report = run_serving(Arc::clone(&store), &workload, &serve_cfg);
-        let label = if skew < 1.0 {
-            "Serve/near-uniform"
-        } else {
-            "Serve/skewed"
-        };
-        rows.push(measurement(label, skew, &report));
-    }
-    let uniform_hit = rows[0].cache_hit_rate.unwrap();
-    let skewed_hit = rows[1].cache_hit_rate.unwrap();
-    assert!(
-        skewed_hit >= uniform_hit - 1e-9,
-        "skewed workload should cache at least as well: uniform {uniform_hit:.3} vs skewed {skewed_hit:.3}"
-    );
-
-    // Crash/degrade row: corrupt a segment the workload provably queries
-    // and serve it with the recovery relation attached. Serving must not
-    // fail a single query: the store degrades to a recompute. A scrub
-    // pass then repairs exactly that blob, after which a reopened store
-    // serves the same workload without recomputing anything.
-    let workload = datagen::gen_query_workload(&rel, queries, 1.5, 0x9e + 1);
-    let hot = workload
-        .iter()
-        .find_map(|q| match q {
-            datagen::QuerySpec::Point { mask, .. }
-            | datagen::QuerySpec::Slice { mask, .. }
-            | datagen::QuerySpec::TopK { mask, .. }
-            | datagen::QuerySpec::CuboidLen { mask } => (*mask != Mask(0)).then_some(*mask),
-            datagen::QuerySpec::RollUp { .. } => None,
-        })
-        .expect("workload has a direct cuboid query");
-    dfs.corrupt_byte(&segment_path("serve", stored.report.generation, 4, hot), 24)
-        .expect("corrupting hot segment");
-    let reopen = || {
-        Arc::new(
-            CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "serve")
-                .expect("store reopen failed")
-                .with_recovery(rel.clone())
-                .with_cache_capacity(4),
-        )
-    };
-    let report = run_serving(reopen(), &workload, &serve_cfg);
-    assert_eq!(
-        report.typed_errors, 0,
-        "the corrupted segment failed a query"
-    );
-    assert!(
-        report.degraded_recomputes >= 1,
-        "corrupted segment never hit the degrade path"
-    );
-    let scrub = Scrubber::new(ScrubConfig::default())
-        .with_recovery(rel.clone())
-        .run(dfs.as_ref(), "serve")
-        .expect("scrub failed");
-    assert_eq!(
-        (scrub.corrupt, scrub.repaired),
-        (1, 1),
-        "scrub must repair exactly the corrupted blob: {scrub:?}"
-    );
-    let healed = run_serving(reopen(), &workload, &serve_cfg);
-    assert_eq!(
-        healed.degraded_recomputes, 0,
-        "the scrubbed store still degrades"
-    );
-    rows.push(Measurement {
-        scrub_repaired: Some(scrub.repaired),
-        ..measurement("Serve/crash-degrade", 1.5, &report)
-    });
-
-    // Chaos rows: the same skewed workload through a latency-spiking blob
-    // layer (one segment read in ten stalls for 25ms), cache capacity 1
-    // so queries actually hit storage, and only two client threads so
-    // service latency rather than queueing dominates — first without
-    // hedging, then with it. With ~4% of queries spiked (cache hits
-    // skip the blob layer), spikes sit far above the 1% p99 cutoff,
-    // while double spikes (primary *and* hedge both stalled, ~0.4%)
-    // stay well below it. Unhedged, the p99 *is* the spike. Hedged,
-    // the client fires a duplicate attempt once the hedge delay (capped
-    // below the spike) expires and races the stalled read, so the
-    // hedged p99 must not be worse than the unhedged one.
-    {
-        use spcube_cubestore::{FaultSchedule, FaultyBlobs};
-
-        let chaos_queries = queries.min(1_000);
-        let workload = datagen::gen_query_workload(&rel, chaos_queries, 1.5, 0x9e + 2);
-        let spiky = Arc::new(FaultyBlobs::new(
-            Arc::clone(&dfs) as Arc<dyn BlobStore>,
-            FaultSchedule {
-                seed: 0xC405,
-                latency_spike_prob: 0.10,
-                spike_us: 25_000,
-                only_matching: Some(".cseg".to_string()),
-                ..FaultSchedule::default()
-            },
-        ));
-        let mut p99 = [0.0f64; 2];
-        for (i, hedge) in [false, true].into_iter().enumerate() {
-            let store = Arc::new(
-                CubeStore::open(Arc::clone(&spiky) as Arc<dyn BlobStore>, "serve")
-                    .expect("chaos store open failed")
-                    .with_recovery(rel.clone())
-                    .with_cache_capacity(1),
-            );
-            let report = run_serving(
-                Arc::clone(&store),
-                &workload,
-                &ServeBenchConfig {
-                    hedge,
-                    deadline_us: Some(2_000_000),
-                    clients: 2,
-                    ..serve_cfg.clone()
-                },
-            );
-            assert_eq!(
-                report.served + report.typed_errors,
-                chaos_queries as u64,
-                "chaos run dropped queries"
-            );
-            if hedge {
-                assert!(
-                    report.hedges_fired > 0,
-                    "hedging never engaged under spikes"
-                );
-            } else {
-                assert_eq!(report.hedges_fired, 0, "unhedged run fired hedges");
-            }
-            p99[i] = report.p99_us;
-            let label = if hedge {
-                "Serve/chaos-hedged"
-            } else {
-                "Serve/chaos-unhedged"
-            };
-            rows.push(measurement(label, 1.5, &report));
-        }
-        // The acceptance bar: hedging under injected latency spikes keeps
-        // p99 at or below the unhedged p99 (small tolerance for host
-        // scheduling noise; when both attempts spike the two runs tie).
-        assert!(
-            p99[1] <= p99[0] * 1.10 + 2_000.0,
-            "hedged p99 {:.0}us worse than unhedged {:.0}us",
-            p99[1],
-            p99[0]
-        );
-    }
-
-    cfg.emit("serve_bench", &rows);
-    rows
-}
-
-/// Incremental-maintenance benchmark (DESIGN.md §13): what does keeping a
-/// cube fresh cost, delta ingest versus full rebuild, and what does a
-/// growing layer chain do to serving latency?
-///
-/// Three timing rows first: `Store/full-rebuild` recubes base + batch
-/// from scratch and writes a fresh store (the only option before the
-/// delta subsystem), `Store/delta-ingest` publishes just the 10% batch as
-/// a delta layer on the incremental store, and `Store/ingest-vs-rebuild`
-/// records the speedup (its `wall_seconds` column is the ratio). The
-/// acceptance bar asserted here: for a batch ≤10% of the base, delta
-/// ingest must beat the full rebuild on wall clock.
-///
-/// Then the serve-under-ingest sweep: one row per ingest step with
-/// open-loop queries racing the layer publication — `x` is the step,
-/// `rounds` doubles as the live layer count, and p99 shows what readers
-/// paid while the chain grew and the compactor folded it back down.
-pub fn store_incremental(cfg: &ExpConfig) -> Vec<Measurement> {
-    use std::sync::Arc;
-
-    use spcube_common::retry::Backoff;
-    use spcube_common::Relation;
-    use spcube_cubealg::naive_cube;
-    use spcube_cubestore::{
-        ingest_batch, write_store, BlobStore, CompactionPolicy, FaultSchedule, FaultyBlobs,
-        IngestConfig,
-    };
-    use spcube_mapreduce::{Dfs, Stopwatch};
-
-    use crate::serving::{run_serving_under_ingest, IngestBenchConfig, ServeBenchConfig};
-
-    let d = 4;
-    let spec = AggSpec::Sum;
-    let base_n = cfg.scaled(20_000);
-    let batch_n = (base_n / 10).max(100);
-    // One relation, cut into a base, the timed 10% batch, and four more
-    // batches for the serving sweep — so every layer shares hot groups.
-    let full = datagen::gen_zipf(base_n + 5 * batch_n, d, 0x1c5);
-    let cut = |from: usize, to: usize| {
-        let mut part = Relation::empty(full.schema().clone());
-        for t in &full.tuples()[from..to] {
-            part.push(t.clone()).expect("cut row");
-        }
-        part
-    };
-    let base = cut(0, base_n);
-    let batch = cut(base_n, base_n + batch_n);
-
-    let dfs: Arc<dyn BlobStore> = Arc::new(Dfs::new());
-    ingest_batch(dfs.as_ref(), "inc", &base, spec).expect("seed base layer");
-
-    // The pre-delta option: recube everything seen so far and write a
-    // fresh store. Timed over cube + persist, the work a refresh costs.
-    let t0 = Stopwatch::start();
-    let rebuilt = naive_cube(&cut(0, base_n + batch_n), spec);
-    write_store(dfs.as_ref(), "rebuild", &rebuilt, d, spec, 1).expect("full rebuild");
-    let rebuild_wall = t0.seconds();
-
-    let t0 = Stopwatch::start();
-    let ingest_report = ingest_batch(dfs.as_ref(), "inc", &batch, spec).expect("delta ingest");
-    let ingest_wall = t0.seconds();
-    assert!(
-        ingest_wall < rebuild_wall,
-        "delta ingest of a {batch_n}-row batch ({ingest_wall:.3}s) must beat a \
-         {}-row full rebuild ({rebuild_wall:.3}s)",
-        base_n + batch_n
-    );
-
-    let batch_pct = 100.0 * batch_n as f64 / base_n as f64;
-    let timing_row = |label: &'static str, wall: f64, groups: usize| Measurement {
-        algo: label,
-        x: batch_pct,
-        total_seconds: Some(0.0),
-        avg_map_seconds: 0.0,
-        avg_reduce_seconds: 0.0,
-        map_output_mb: 0.0,
-        sketch_kb: None,
-        rounds: 1,
-        spilled_mb: 0.0,
-        imbalance: 1.0,
-        cube_groups: groups,
-        wall_seconds: wall,
-        task_retries: 0,
-        tasks_lost: 0,
-        re_executions: 0,
-        speculative_launches: 0,
-        wasted_seconds: 0.0,
-        fallback_events: 0,
-        qps: None,
-        p50_us: None,
-        p99_us: None,
-        cache_hit_rate: None,
-        degraded_recomputes: None,
-        deadline_miss_rate: None,
-        hedge_win_rate: None,
-        ingest_retries: None,
-        scrub_repaired: None,
-    };
-    let mut rows = vec![
-        timing_row("Store/full-rebuild", rebuild_wall, rebuilt.len()),
-        timing_row(
-            "Store/delta-ingest",
-            ingest_wall,
-            ingest_report.rows as usize,
-        ),
-        timing_row(
-            "Store/ingest-vs-rebuild",
-            rebuild_wall / ingest_wall.max(f64::MIN_POSITIVE),
-            rebuilt.len(),
-        ),
-    ];
-
-    // Serving while ingesting: four more batches land behind an open-loop
-    // query stream; the compactor holds the chain at three layers.
-    let batches: Vec<Relation> = (1..5)
-        .map(|i| cut(base_n + i * batch_n, base_n + (i + 1) * batch_n))
-        .collect();
-    let queries = (base_n / 20).clamp(200, 2_000);
-    let workload = datagen::gen_query_workload(&base, queries * batches.len(), 1.5, 0x1c6);
-    let reports = run_serving_under_ingest(
-        &dfs,
-        "inc",
-        &batches,
-        &workload,
-        &IngestBenchConfig {
-            serve: ServeBenchConfig::default(),
-            queries_per_step: queries,
-            spec,
-            policy: Some(CompactionPolicy { max_layers: 3 }),
-            ingest: IngestConfig::default(),
-            scrub: false,
-        },
-    )
-    .expect("serve-under-ingest sweep");
-    assert!(
-        reports.iter().any(|r| r.compacted),
-        "the sweep never exercised the compactor"
-    );
-    for r in &reports {
-        assert_eq!(
-            r.serving.served + r.serving.typed_errors,
-            queries as u64,
-            "step {} dropped queries",
-            r.step
-        );
-        rows.push(Measurement {
-            algo: "Store/serve-under-ingest",
-            x: r.step as f64,
-            rounds: r.layers,
-            wall_seconds: r.ingest_seconds,
-            cube_groups: r.ingested_rows as usize,
-            qps: Some(r.serving.qps),
-            p50_us: Some(r.serving.p50_us),
-            p99_us: Some(r.serving.p99_us),
-            cache_hit_rate: Some(r.serving.cache_hit_rate),
-            degraded_recomputes: Some(r.serving.degraded_recomputes),
-            deadline_miss_rate: Some(r.serving.deadline_miss_rate),
-            hedge_win_rate: Some(r.serving.hedge_win_rate),
-            ..timing_row("Store/serve-under-ingest", 0.0, 0)
-        });
-    }
-
-    // The same sweep on a write-chaotic blob layer: seeded put faults and
-    // torn staged writes hit every layer publication, the ingest session
-    // retries through them, and a repairing scrub after each step proves
-    // the live chain readers see stayed byte-clean (`scrub_fix` must read
-    // 0 — that is the claim, not a hope).
-    let faulty: Arc<dyn BlobStore> = Arc::new(FaultyBlobs::new(
-        Arc::clone(&dfs),
-        FaultSchedule {
-            seed: 0x1c7,
-            put_transient_fail_prob: 0.08,
-            torn_write_prob: 0.02,
-            only_matching: Some("chaos-inc/".to_string()),
-            ..FaultSchedule::default()
-        },
-    ));
-    // Seed the base layer through the clean layer — the chaos schedule is
-    // aimed at the sweep's publications, not the fixture setup.
-    ingest_batch(dfs.as_ref(), "chaos-inc", &base, spec).expect("seed chaos base layer");
-    let chaos_reports = run_serving_under_ingest(
-        &faulty,
-        "chaos-inc",
-        &batches,
-        &workload,
-        &IngestBenchConfig {
-            serve: ServeBenchConfig::default(),
-            queries_per_step: queries,
-            spec,
-            policy: Some(CompactionPolicy { max_layers: 3 }),
-            ingest: IngestConfig {
-                max_attempts: 50,
-                backoff: Backoff::Fixed(0.0005),
-                ..IngestConfig::default()
-            },
-            scrub: true,
-        },
-    )
-    .expect("chaos-ingest sweep");
-    for r in &chaos_reports {
-        assert_eq!(
-            r.scrub_repaired, 0,
-            "write chaos leaked corruption onto the live chain at step {}",
-            r.step
-        );
-        rows.push(Measurement {
-            algo: "Store/chaos-ingest",
-            x: r.step as f64,
-            rounds: r.layers,
-            wall_seconds: r.ingest_seconds,
-            cube_groups: r.ingested_rows as usize,
-            qps: Some(r.serving.qps),
-            p50_us: Some(r.serving.p50_us),
-            p99_us: Some(r.serving.p99_us),
-            cache_hit_rate: Some(r.serving.cache_hit_rate),
-            degraded_recomputes: Some(r.serving.degraded_recomputes),
-            deadline_miss_rate: Some(r.serving.deadline_miss_rate),
-            hedge_win_rate: Some(r.serving.hedge_win_rate),
-            ingest_retries: Some(r.ingest_retries),
-            scrub_repaired: Some(r.scrub_repaired),
-            ..timing_row("Store/chaos-ingest", 0.0, 0)
-        });
-    }
-    cfg.emit("store_incremental", &rows);
-    rows
-}
-
-/// Profiled serving experiment (DESIGN.md §16): the same store served
-/// clean and under read chaos, but through the flight-recorder path, so
-/// the p50/p99 latency of each run decomposes into queue-wait / blob-IO /
-/// decode / merge / finalize columns. The chaos row's per-phase p99 is
-/// where injected latency spikes and retries actually show up — blob-IO,
-/// not queue — and the tail sampler persists a complete trace for every
-/// errored or slow query (`kept` column).
-pub fn serve_profile(cfg: &ExpConfig) -> Vec<(String, crate::serving::PhaseProfile)> {
-    use std::sync::Arc;
-
-    use spcube_core::{SpCube, SpCubeConfig};
-    use spcube_cubestore::{BlobStore, CubeStore, FaultSchedule, FaultyBlobs};
-    use spcube_mapreduce::Dfs;
-    use spcube_obs::ObsHandle;
-
-    use crate::report::{phase_table, write_phase_csv};
-    use crate::serving::{run_serving, ServeBenchConfig};
-
-    let n = cfg.scaled(10_000);
-    let rel = datagen::gen_zipf(n, 4, 0x5e7);
-    let cluster = cluster_for(n, n / K, 150e6);
-    let dfs = Arc::new(Dfs::new());
-    SpCube::run_and_store(
-        &rel,
-        &cluster,
-        &SpCubeConfig::new(AggSpec::Count),
-        &dfs,
-        "profile",
-    )
-    .expect("build+store failed");
-    let queries = n.clamp(500, 4_000);
-    let workload = datagen::gen_query_workload(&rel, queries, 1.5, 0x11);
-    let serve_cfg = ServeBenchConfig {
-        clients: 2,
-        profile: true,
-        ..ServeBenchConfig::default()
-    };
-
-    let mut rows = Vec::new();
-    // Clean run: a wall-clock obs handle per run keeps each run's
-    // exemplars and persisted traces separate.
-    let clean_obs = ObsHandle::wall();
-    let store = Arc::new(
-        CubeStore::open(Arc::clone(&dfs) as Arc<dyn BlobStore>, "profile")
-            .expect("store open failed")
-            .with_cache_capacity(4)
-            .with_obs(clean_obs),
-    );
-    let report = run_serving(Arc::clone(&store), &workload, &serve_cfg);
-    assert_eq!(report.served + report.typed_errors, queries as u64);
-    rows.push((
-        "clean".to_string(),
-        report.phases.expect("profiled run reports phases"),
-    ));
-
-    // Chaos run: latency spikes and transient read failures on segment
-    // blobs, tiny cache so storage is actually exercised.
-    let chaos_obs = ObsHandle::wall();
-    let spiky = Arc::new(
-        FaultyBlobs::new(
-            Arc::clone(&dfs) as Arc<dyn BlobStore>,
-            FaultSchedule {
-                seed: 0xF11,
-                transient_fail_prob: 0.05,
-                latency_spike_prob: 0.10,
-                spike_us: 20_000,
-                only_matching: Some(".cseg".to_string()),
-                ..FaultSchedule::default()
-            },
-        )
-        .with_obs(chaos_obs.clone()),
-    );
-    let chaos_store = Arc::new(
-        CubeStore::open(Arc::clone(&spiky) as Arc<dyn BlobStore>, "profile")
-            .expect("chaos store open failed")
-            .with_recovery(rel.clone())
-            .with_cache_capacity(1)
-            .with_obs(chaos_obs.clone()),
-    );
-    let report = run_serving(Arc::clone(&chaos_store), &workload, &serve_cfg);
-    assert_eq!(report.served + report.typed_errors, queries as u64);
-    let chaos_phases = report.phases.expect("profiled chaos run reports phases");
-    rows.push(("chaos".to_string(), chaos_phases));
-    // Under spiking storage the blob-IO p99 must dominate the queue p99:
-    // phase attribution pointing anywhere else would be mislabeling.
-    assert!(
-        chaos_phases.io_p99_us > chaos_phases.queue_p50_us,
-        "chaos blob-IO p99 implausibly small: {chaos_phases:?}"
-    );
-
-    if cfg.verbose {
-        println!("{}", phase_table("serve_profile", &rows));
-    }
-    write_phase_csv(cfg.out_dir.join("serve_profile_phases.csv"), &rows)
-        .expect("phase CSV write failed");
     rows
 }
 
@@ -1029,7 +469,4 @@ pub fn all(cfg: &ExpConfig) {
     balance(cfg);
     ablations(cfg);
     rounds(cfg);
-    serve_bench(cfg);
-    serve_profile(cfg);
-    store_incremental(cfg);
 }

@@ -5,7 +5,7 @@
 //! map/reduce time, map-output size, SP-Sketch size), prints them as
 //! tables, and writes CSV rows under `bench_results/`. Wall-clock timings
 //! of the build and serving layers live in the separate `cubebench`
-//! workspace.
+//! workspace, the one harness that measures serving.
 //!
 //! Scaling: experiments run the real algorithms end-to-end on inputs scaled
 //! down from the paper's (millions instead of hundreds of millions of
@@ -18,8 +18,6 @@
 pub mod experiments;
 pub mod report;
 pub mod runner;
-pub mod serving;
 
-pub use report::{phase_csv, phase_table, write_csv, write_phase_csv, Table, PHASE_CSV_HEADER};
+pub use report::{write_csv, Table};
 pub use runner::{run_algo, Algo, Measurement, Workload};
-pub use serving::{run_serving, PhaseProfile, ServeBenchConfig, ServingReport};

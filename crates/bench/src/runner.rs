@@ -108,29 +108,6 @@ pub struct Measurement {
     /// Rounds that fell back to a degraded plan (SP-Cube: sketch rejected,
     /// cube round ran hash-partitioned).
     pub fallback_events: u64,
-    /// Serving throughput in queries per second (serve-bench rows only).
-    pub qps: Option<f64>,
-    /// Median query latency in microseconds (serve-bench rows only).
-    pub p50_us: Option<f64>,
-    /// 99th-percentile query latency in microseconds (serve-bench rows
-    /// only).
-    pub p99_us: Option<f64>,
-    /// Segment-cache hit rate in `[0, 1]` (serve-bench rows only).
-    pub cache_hit_rate: Option<f64>,
-    /// Segments served via degraded BUC recompute (serve-bench rows only).
-    pub degraded_recomputes: Option<u64>,
-    /// Deadline misses over admissions, `[0, 1]` (serve-bench rows with
-    /// deadlines only).
-    pub deadline_miss_rate: Option<f64>,
-    /// Hedges won over hedges fired, `[0, 1]` (hedged serve-bench rows
-    /// only).
-    pub hedge_win_rate: Option<f64>,
-    /// Write-path retries the step's ingest session spent riding out
-    /// injected faults (chaos-ingest rows only).
-    pub ingest_retries: Option<u64>,
-    /// Blobs an integrity scrub repaired in place (chaos-ingest and
-    /// crash-degrade rows only).
-    pub scrub_repaired: Option<u64>,
 }
 
 const MB: f64 = 1024.0 * 1024.0;
@@ -217,15 +194,6 @@ pub fn run_algo(algo: Algo, w: &Workload, agg: AggSpec) -> Measurement {
                 speculative_launches: metrics.speculative_launches(),
                 wasted_seconds: metrics.wasted_seconds(),
                 fallback_events: metrics.fallback_events(),
-                qps: None,
-                p50_us: None,
-                p99_us: None,
-                cache_hit_rate: None,
-                degraded_recomputes: None,
-                deadline_miss_rate: None,
-                hedge_win_rate: None,
-                ingest_retries: None,
-                scrub_repaired: None,
             }
         }
         Err(err) => {
@@ -251,30 +219,7 @@ pub fn run_algo(algo: Algo, w: &Workload, agg: AggSpec) -> Measurement {
                 speculative_launches: 0,
                 wasted_seconds: 0.0,
                 fallback_events: 0,
-                qps: None,
-                p50_us: None,
-                p99_us: None,
-                cache_hit_rate: None,
-                degraded_recomputes: None,
-                deadline_miss_rate: None,
-                hedge_win_rate: None,
-                ingest_retries: None,
-                scrub_repaired: None,
             }
         }
     }
-}
-
-/// Quick convenience used by tests and benches: run SP-Cube on an ad-hoc
-/// workload.
-pub fn run_spcube(rel: &Relation, cluster: &ClusterConfig, agg: AggSpec) -> Measurement {
-    let w = Workload {
-        label: "adhoc".into(),
-        x: 0.0,
-        rel: rel.clone(),
-        cluster: cluster.clone(),
-        hive_entries: 4096,
-        hive_payload: 0,
-    };
-    run_algo(Algo::SpCube, &w, agg)
 }

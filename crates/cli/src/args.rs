@@ -18,15 +18,7 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &[
-    "exact-sketch",
-    "quiet",
-    "help",
-    "chaos",
-    "hedge",
-    "check-only",
-    "profile",
-];
+const SWITCHES: &[&str] = &["exact-sketch", "quiet", "help", "check-only"];
 
 impl Args {
     /// Parse a raw argument list (without the program name).
@@ -79,15 +71,6 @@ impl Args {
     /// Boolean switch presence.
     pub fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
-    }
-
-    /// Force a switch on (used by command aliases: `spcube profile` is
-    /// `serve-bench` with `--profile` forced).
-    pub fn with_switch(mut self, name: &str) -> Args {
-        if !self.has(name) {
-            self.switches.push(name.to_string());
-        }
-        self
     }
 }
 

@@ -12,10 +12,12 @@
 //! and prints the run's metrics; `--algo` selects between `spcube`, `pig`
 //! (MRCube), `hive`, `naive`, and `topdown`.
 //!
-//! The read side of the reproduction lives behind three more commands:
+//! The read side of the reproduction lives behind more commands:
 //! `build-store` persists the cube as a columnar CubeStore directory,
 //! `query` answers point/slice/top-k lookups against such a directory,
-//! and `serve-bench` drives a concurrent query-serving benchmark.
+//! and `ingest`, `compact` and `scrub` maintain an incremental one.
+//! Serving throughput and latency are measured by the `cubebench`
+//! workspace.
 
 mod args;
 
@@ -27,19 +29,15 @@ use spcube_agg::AggSpec;
 use spcube_baselines::{
     hive_cube, mr_cube, naive_mr_cube, top_down_cube, HiveConfig, MrCubeConfig,
 };
-use spcube_bench::report::{phase_table, write_phase_csv};
-use spcube_bench::serving::{
-    run_serving, run_serving_under_ingest, IngestBenchConfig, ServeBenchConfig,
-};
 use spcube_common::{io, Error, Mask, Relation, Result, Value};
 use spcube_core::{build_exact_sketch, build_sampled_sketch, SketchConfig, SpCube, SpCubeConfig};
 use spcube_cubealg::{Cube, CubeQuery, CubeRead};
 use spcube_cubestore::{
-    ingest_batch, write_store, BlobStore, CompactionPolicy, CubeStore, DirBlobs, FaultSchedule,
-    FaultyBlobs, IngestConfig, ScrubConfig, Scrubber,
+    ingest_batch, write_store, BlobStore, CompactionPolicy, CubeStore, DirBlobs, ScrubConfig,
+    Scrubber,
 };
 use spcube_datagen as datagen;
-use spcube_mapreduce::{ClusterConfig, Dfs, RunMetrics};
+use spcube_mapreduce::{ClusterConfig, RunMetrics};
 use spcube_obs::ObsHandle;
 
 fn main() -> ExitCode {
@@ -66,8 +64,6 @@ fn run(raw: &[String]) -> Result<()> {
         "compact" => compact_store(&args),
         "scrub" => scrub_store(&args),
         "query" => query(&args),
-        "serve-bench" => serve_bench(&args),
-        "profile" => serve_bench(&args.with_switch("profile")),
         "" | "help" => {
             print!("{}", HELP);
             Ok(())
@@ -117,34 +113,6 @@ COMMANDS
       Answer a lookup against a CubeStore directory written by
       build-store or ingest. Without --point/--slice, prints the
       cuboid's top N groups by measure.
-  serve-bench FILE [--queries N] [--skews A,B] [--workers W]
-       [--clients C] [--cache SEGS] [--machines K] [--memory M]
-       [--chaos] [--chaos-seed S] [--hedge] [--deadline-us D]
-       [--ingest-rate R] [--max-layers N] [--profile]
-       [--phase-csv FILE] [--flight-out FILE]
-      Build + store the cube in memory, then serve Zipf-skewed query
-      workloads through the concurrent CubeServer behind the resilient
-      client, reporting QPS, p50/p99 latency, segment-cache hit rate,
-      typed errors, deadline misses, and hedge counters per skew.
-      --chaos injects a seeded fault schedule (latency spikes plus
-      transient read failures) into the segment blob reads; --hedge
-      races slow requests with a duplicate attempt; --deadline-us
-      bounds each query's end-to-end budget. --ingest-rate R switches
-      to the incremental store and serves open-loop queries while R-row
-      delta batches land concurrently (one report line per step:
-      layers, ingest time, QPS, p50/p99), compacting past --max-layers.
-      --chaos composes with --ingest-rate: seeded write faults (failed
-      and torn puts) hit every layer publication, the ingest session
-      retries through them, and a repairing scrub after each step
-      verifies the live chain stayed clean (retry/repair counts are
-      appended to each step line). --profile routes every query through
-      the always-on flight recorder and appends a phase-attribution
-      table (queue-wait / blob-IO / decode / merge / finalize p50+p99);
-      --phase-csv writes those columns as CSV, and --flight-out
-      persists the tail-sampled traces (errors, deadline misses,
-      above-p99 latencies) as JSONL for `inspect -- flight`.
-  profile FILE [serve-bench options]
-      Alias for `serve-bench --profile`.
   help
 ";
 
@@ -560,256 +528,6 @@ fn query(args: &Args) -> Result<()> {
     Ok(())
 }
 
-fn serve_bench(args: &Args) -> Result<()> {
-    let rel = load(args)?;
-    if args.get("ingest-rate").is_some() {
-        return serve_bench_under_ingest(args, &rel);
-    }
-    let cluster = cluster_from(args, rel.len())?;
-    let cfg = SpCubeConfig::new(agg_from(args)?);
-    let dfs = Dfs::new();
-    let stored = SpCube::run_and_store(&rel, &cluster, &cfg, &dfs, STORE_PREFIX)?;
-    println!(
-        "built + stored {} c-groups ({} segments, {} bytes)",
-        stored.run.cube.len(),
-        stored.report.segments,
-        stored.report.bytes
-    );
-    // --chaos wraps the blob layer in a seeded fault injector so the
-    // resilience machinery (retries, hedging, deadlines, breaker) has
-    // something to push against; `inspect serve-faults SEED` previews
-    // the same schedule.
-    // --profile turns on the flight recorder: one wall-clock obs handle
-    // shared by the fault injector, the store, and the server, so every
-    // query's spans land in the same per-thread rings.
-    let profile = args.has("profile");
-    let obs = if profile {
-        ObsHandle::wall()
-    } else {
-        ObsHandle::default()
-    };
-    let blobs: Arc<dyn BlobStore> = if args.has("chaos") {
-        let schedule = FaultSchedule {
-            seed: args.get_or("chaos-seed", 7)?,
-            transient_fail_prob: 0.05,
-            latency_spike_prob: 0.10,
-            spike_us: 20_000,
-            only_matching: Some(".cseg".to_string()),
-            ..FaultSchedule::default()
-        };
-        schedule.validate()?;
-        Arc::new(
-            FaultyBlobs::new(Arc::new(dfs) as Arc<dyn BlobStore>, schedule).with_obs(obs.clone()),
-        )
-    } else {
-        Arc::new(dfs)
-    };
-    let store = Arc::new(
-        CubeStore::open(blobs, STORE_PREFIX)?
-            .with_recovery(rel.clone())
-            .with_cache_capacity(args.get_or("cache", 4)?)
-            .with_obs(obs.clone()),
-    );
-
-    let queries: usize = args.get_or("queries", 5_000)?;
-    let skews: Vec<f64> = match args.get("skews") {
-        None => vec![0.5, 1.5],
-        Some(s) => s
-            .split(',')
-            .map(|t| {
-                t.parse()
-                    .map_err(|_| Error::Config(format!("--skews: cannot parse `{t}`")))
-            })
-            .collect::<Result<_>>()?,
-    };
-    let deadline_us = match args.get("deadline-us") {
-        None => None,
-        Some(_) => Some(args.get_or("deadline-us", 0u64)?),
-    };
-    let serve_cfg = ServeBenchConfig {
-        workers: args.get_or("workers", 4)?,
-        queue_capacity: args.get_or("queue", 64)?,
-        clients: args.get_or("clients", 4)?,
-        deadline_us,
-        hedge: args.has("hedge"),
-        max_attempts: args.get_or("attempts", 3)?,
-        profile,
-    };
-    let mut phase_rows = Vec::new();
-    for (i, &skew) in skews.iter().enumerate() {
-        let workload = datagen::gen_query_workload(&rel, queries, skew, 0x5b + i as u64);
-        let report = run_serving(Arc::clone(&store), &workload, &serve_cfg);
-        println!(
-            "skew {skew:.2}: {} served + {} typed errors, {:.0} QPS, p50 {:.1}us, \
-             p99 {:.1}us, hit rate {:.3}, {} overload retries",
-            report.served,
-            report.typed_errors,
-            report.qps,
-            report.p50_us,
-            report.p99_us,
-            report.cache_hit_rate,
-            report.overload_retries
-        );
-        if deadline_us.is_some() || serve_cfg.hedge {
-            println!(
-                "           {} deadline misses (rate {:.3}), {} hedges fired, \
-                 {} won (rate {:.3})",
-                report.deadline_misses,
-                report.deadline_miss_rate,
-                report.hedges_fired,
-                report.hedges_won,
-                report.hedge_win_rate
-            );
-        }
-        if let Some(p) = report.phases {
-            phase_rows.push((format!("skew-{skew:.2}"), p));
-        }
-    }
-    if profile {
-        println!();
-        print!("{}", phase_table("serve-bench", &phase_rows));
-        if let Some(csv) = args.get("phase-csv") {
-            write_phase_csv(csv, &phase_rows)?;
-            println!("phase CSV written to {csv}");
-        }
-        let kept = obs.flight_kept();
-        println!(
-            "flight recorder: {} trace(s) tail-sampled in (errors, deadline \
-             misses, and above-p99 latencies)",
-            kept.len()
-        );
-        if let Some(out) = args.get("flight-out") {
-            if let Some(dir) = std::path::Path::new(out).parent() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| Error::Io(format!("creating {}", dir.display()), e))?;
-            }
-            std::fs::write(out, obs.flight_jsonl())
-                .map_err(|e| Error::Io(format!("writing {out}"), e))?;
-            println!("flight traces written to {out} (inspect with `inspect -- flight {out}`)");
-        }
-    }
-    Ok(())
-}
-
-/// The `--ingest-rate` mode: build an incremental (delta-layered) store
-/// from most of the input, then serve open-loop queries while the
-/// held-out rows land as R-row delta batches, one serving window per
-/// batch, compacting whenever the chain exceeds `--max-layers`.
-fn serve_bench_under_ingest(args: &Args, rel: &Relation) -> Result<()> {
-    let rate: usize = args.get_or("ingest-rate", 1_000)?;
-    if rate == 0 {
-        return Err(Error::Config("--ingest-rate must be at least 1".into()));
-    }
-    let steps = (rel.len() / (2 * rate)).clamp(1, 4);
-    let base_n = rel.len().saturating_sub(steps * rate);
-    if base_n == 0 {
-        return Err(Error::Config(format!(
-            "--ingest-rate {rate} leaves no base rows in a {}-tuple input",
-            rel.len()
-        )));
-    }
-    let cut = |from: usize, to: usize| -> Result<Relation> {
-        let mut part = Relation::empty(rel.schema().clone());
-        for t in &rel.tuples()[from..to] {
-            part.push(t.clone())?;
-        }
-        Ok(part)
-    };
-    let agg = agg_from(args)?;
-    let base = cut(0, base_n)?;
-    let batches: Vec<Relation> = (0..steps)
-        .map(|i| cut(base_n + i * rate, base_n + (i + 1) * rate))
-        .collect::<Result<_>>()?;
-
-    let dfs: Arc<dyn BlobStore> = Arc::new(Dfs::new());
-    let report = ingest_batch(dfs.as_ref(), STORE_PREFIX, &base, agg)?;
-    println!(
-        "seeded incremental store: {} tuples, {} state rows, generation {}",
-        base.len(),
-        report.rows,
-        report.generation
-    );
-    // --chaos on the write path: seeded put failures and torn staged
-    // writes hit the sweep's layer publications (the base seed above goes
-    // through the clean layer). The ingest session's retries absorb them
-    // and a post-step scrub proves readers never saw the damage.
-    let chaos = args.has("chaos");
-    let blobs: Arc<dyn BlobStore> = if chaos {
-        let schedule = FaultSchedule {
-            seed: args.get_or("chaos-seed", 7)?,
-            put_transient_fail_prob: 0.08,
-            torn_write_prob: 0.02,
-            ..FaultSchedule::default()
-        };
-        schedule.validate()?;
-        println!("write chaos armed: seed {}", schedule.seed);
-        Arc::new(FaultyBlobs::new(Arc::clone(&dfs), schedule))
-    } else {
-        dfs
-    };
-
-    let queries: usize = args.get_or("queries", 5_000)?;
-    let per_step = (queries / steps).max(1);
-    let workload = datagen::gen_query_workload(&base, queries, 1.5, 0x5b);
-    let reports = run_serving_under_ingest(
-        &blobs,
-        STORE_PREFIX,
-        &batches,
-        &workload,
-        &IngestBenchConfig {
-            serve: ServeBenchConfig {
-                workers: args.get_or("workers", 4)?,
-                queue_capacity: args.get_or("queue", 64)?,
-                clients: args.get_or("clients", 4)?,
-                deadline_us: None,
-                hedge: args.has("hedge"),
-                max_attempts: args.get_or("attempts", 3)?,
-                profile: false,
-            },
-            queries_per_step: per_step,
-            spec: agg,
-            policy: Some(CompactionPolicy {
-                max_layers: args.get_or("max-layers", 4)?,
-            }),
-            ingest: if chaos {
-                IngestConfig {
-                    max_attempts: 50,
-                    backoff: spcube_common::retry::Backoff::Fixed(0.002),
-                    ..IngestConfig::default()
-                }
-            } else {
-                IngestConfig::default()
-            },
-            scrub: chaos,
-        },
-    )?;
-    for r in &reports {
-        let chaos_cols = if chaos {
-            format!(
-                ", {} ingest retries, {} scrub repairs",
-                r.ingest_retries, r.scrub_repaired
-            )
-        } else {
-            String::new()
-        };
-        println!(
-            "step {}: {} layer(s){}, ingest {:.1}ms ({} state rows), \
-             {} served + {} typed errors, {:.0} QPS, p50 {:.1}us, p99 {:.1}us{chaos_cols}",
-            r.step,
-            r.layers,
-            if r.compacted { " (compacted)" } else { "" },
-            r.ingest_seconds * 1e3,
-            r.ingested_rows,
-            r.serving.served,
-            r.serving.typed_errors,
-            r.serving.qps,
-            r.serving.p50_us,
-            r.serving.p99_us
-        );
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -969,44 +687,6 @@ mod tests {
         // Arity mismatch between --point and the mask is reported.
         let err = call(&argv(&["query", store_s, "--mask", "101", "--point", "1"])).unwrap_err();
         assert!(err.to_string().contains("values"));
-
-        call(&argv(&[
-            "serve-bench",
-            tsv_s,
-            "--machines",
-            "5",
-            "--queries",
-            "200",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-        ]))
-        .unwrap();
-        // The chaos path: injected faults, hedging, and a generous
-        // deadline must still complete every query (answer or typed
-        // error) without erroring out of the harness.
-        call(&argv(&[
-            "serve-bench",
-            tsv_s,
-            "--machines",
-            "5",
-            "--queries",
-            "150",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-            "--cache",
-            "1",
-            "--chaos",
-            "--chaos-seed",
-            "9",
-            "--hedge",
-            "--deadline-us",
-            "2000000",
-        ]))
-        .unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1099,68 +779,6 @@ mod tests {
         hits.sort();
         hits.pop()
             .unwrap_or_else(|| panic!("no file ending with {suffix} under {}", dir.display()))
-    }
-
-    #[test]
-    fn serve_bench_ingest_rate_mode() {
-        let dir = std::env::temp_dir().join(format!("spcube-cli-rate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let tsv = dir.join("data.tsv");
-        let tsv_s = tsv.to_str().unwrap();
-        call(&argv(&[
-            "generate",
-            "--dataset",
-            "zipf",
-            "--n",
-            "1200",
-            "--dims",
-            "3",
-            "--seed",
-            "3",
-            "--out",
-            tsv_s,
-        ]))
-        .unwrap();
-        call(&argv(&[
-            "serve-bench",
-            tsv_s,
-            "--ingest-rate",
-            "150",
-            "--queries",
-            "120",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-            "--max-layers",
-            "2",
-        ]))
-        .unwrap();
-        // --chaos composes with --ingest-rate: write faults hit the layer
-        // publications, retries ride them out, and the per-step scrub
-        // confirms the live chain stayed clean — as a run, not a panic.
-        call(&argv(&[
-            "serve-bench",
-            tsv_s,
-            "--ingest-rate",
-            "150",
-            "--queries",
-            "120",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-            "--max-layers",
-            "2",
-            "--chaos",
-            "--chaos-seed",
-            "11",
-        ]))
-        .unwrap();
-        // A rate that leaves no base rows is a typed error, not a panic.
-        let err = call(&argv(&["serve-bench", tsv_s, "--ingest-rate", "0"])).unwrap_err();
-        assert!(matches!(err, Error::Config(_)), "got {err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -140,18 +140,6 @@ pub struct ClientStats {
     pub shed: u64,
 }
 
-impl ClientStats {
-    /// Hedges won over hedges fired, in `[0, 1]`; `0` before any hedge
-    /// (never NaN — this feeds CSV output directly).
-    pub fn hedge_win_rate(&self) -> f64 {
-        if self.hedges_fired == 0 {
-            0.0
-        } else {
-            self.hedges_won as f64 / self.hedges_fired as f64
-        }
-    }
-}
-
 /// Per-cuboid breaker state: consecutive failures, and the clock reading
 /// until which the breaker holds open (None = closed).
 #[derive(Debug, Default, Clone, Copy)]
@@ -833,7 +821,6 @@ mod tests {
         let stats = client.stats();
         assert_eq!(stats.hedges_fired, 1);
         assert_eq!(stats.hedges_won, 1);
-        assert_eq!(stats.hedge_win_rate(), 1.0);
         assert_eq!(
             obs.counter_value(names::SERVE_HEDGE_FIRED, &[]),
             Some(stats.hedges_fired)
@@ -842,19 +829,6 @@ mod tests {
             obs.counter_value(names::SERVE_HEDGE_WON, &[]),
             Some(stats.hedges_won)
         );
-    }
-
-    #[test]
-    fn hedge_win_rate_is_never_nan() {
-        let empty = ClientStats::default();
-        assert_eq!(empty.hedge_win_rate(), 0.0);
-        assert!(empty.hedge_win_rate().is_finite());
-        let busy = ClientStats {
-            hedges_fired: 4,
-            hedges_won: 1,
-            ..ClientStats::default()
-        };
-        assert!((busy.hedge_win_rate() - 0.25).abs() < 1e-12);
     }
 
     /// Like `faulty_server` but with one shared observability handle on

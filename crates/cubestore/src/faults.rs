@@ -33,8 +33,8 @@
 //! as the engine's `FaultPlan` — so a schedule replays identically for a
 //! given op sequence, regardless of wall time or threading. The live
 //! `get`/`put` take their decision from the pure [`FaultSchedule::preview`]
-//! and [`FaultSchedule::preview_put`], so what `inspect serve-faults`
-//! renders is exactly what the wrapper injects.
+//! and [`FaultSchedule::preview_put`], so a preview of a schedule is
+//! exactly what the wrapper injects.
 //!
 //! **Crashes** — a [`CrashPlan`] names one mutating operation (puts and
 //! deletes in issue order, whatever `only_matching` says). That operation
@@ -171,8 +171,7 @@ impl FaultSchedule {
     }
 
     /// Is `path` scheduled for a sticky read outage? Pure — derivable
-    /// without a [`FaultyBlobs`] instance, which is what
-    /// `inspect serve-faults` uses to render a schedule.
+    /// without a [`FaultyBlobs`] instance.
     pub fn sticky_out(&self, path: &str) -> bool {
         self.applies(path) && self.draw("sticky", path, 0) < self.sticky_outage_prob
     }
@@ -187,8 +186,8 @@ impl FaultSchedule {
     /// What per-path read `n` (0-based) injects: outage, then transient,
     /// then latency. Every read of a path reaches this draw, so the first
     /// `outage_heals_after` reads of a sticky-out path fail. Pure: the
-    /// live wrapper decides every read here, and `inspect serve-faults`
-    /// renders schedules with it without constructing a [`FaultyBlobs`].
+    /// live wrapper decides every read here, so a schedule can be
+    /// previewed without constructing a [`FaultyBlobs`].
     pub fn preview(&self, path: &str, n: u32) -> Option<FaultKind> {
         if !self.applies(path) {
             return None;

@@ -15,7 +15,9 @@
 //! [`ServeError::DeadlineExceeded`], never a silently dropped channel.
 //! Shutdown is graceful but bounded: queued work gets a grace period to
 //! drain, and anything still queued when it expires receives a typed
-//! [`ServeError::ShuttingDown`].
+//! [`ServeError::ShuttingDown`]. A worker that panics shuts the server
+//! down the same way, so no submitter waits on an answer that cannot
+//! come.
 //!
 //! Workers read through the shared store (one `Arc<CubeStore>`; its
 //! segment cache and counters are already thread-safe), so concurrent
@@ -199,32 +201,6 @@ pub struct ServerStats {
     pub deadline_exceeded: u64,
 }
 
-impl ServerStats {
-    fn total(&self) -> u64 {
-        self.served + self.rejected + self.deadline_exceeded
-    }
-
-    /// Rejected over all submissions, in `[0, 1]`; `0` before any
-    /// submission (never NaN — this feeds CSV output directly).
-    pub fn rejection_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.total() as f64
-        }
-    }
-
-    /// Deadline misses over all submissions, with the same NaN-proof
-    /// guard as [`ServerStats::rejection_rate`].
-    pub fn deadline_miss_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.deadline_exceeded as f64 / self.total() as f64
-        }
-    }
-}
-
 /// Which copy of a request an answer belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Attempt {
@@ -298,6 +274,43 @@ struct Shared {
     served: AtomicU64,
     rejected: AtomicU64,
     deadline_exceeded: AtomicU64,
+}
+
+impl Shared {
+    /// Close admission and answer everything still queued with a typed
+    /// [`ServeError::ShuttingDown`] (never a dropped channel). Drains
+    /// under the lock and replies after releasing it: a reply is channel
+    /// IO and must not run under the queue guard.
+    fn shed_queued(&self) {
+        let shed: Vec<ReplyTo> = {
+            let mut q = lock_or_recover(&self.queue);
+            q.shutting_down = true;
+            q.jobs
+                .drain(..)
+                .map(|(_req, _dl, _fl, reply)| reply)
+                .collect()
+        };
+        self.wake.notify_all();
+        for reply in shed {
+            reply.deliver(Err(ServeError::ShuttingDown));
+        }
+    }
+}
+
+/// Armed for a worker's whole life, so queries pay nothing for it. A
+/// worker that unwinds takes the server down typed: admission closes and
+/// every queued request is answered [`ServeError::ShuttingDown`] instead
+/// of waiting forever on a sender no worker will use. The unwind drops
+/// the sender of the request the worker held, which its submitter reads
+/// as `ShuttingDown` too.
+struct WorkerExit<'a>(&'a Shared);
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.shed_queued();
+        }
+    }
 }
 
 /// Count one deadline miss: stat and obs counter, at the exact check
@@ -477,20 +490,7 @@ impl CubeServer {
                 break;
             }
             if (t0.seconds() * 1e6) as u64 >= grace_us {
-                // Grace exhausted: everything still queued gets a typed
-                // reply instead of a dropped channel. Drain under the
-                // lock, reply after releasing it — the reply channel is
-                // IO and must not run under the queue guard.
-                let shed: Vec<ReplyTo> = {
-                    let mut q = lock_or_recover(&self.shared.queue);
-                    q.jobs
-                        .drain(..)
-                        .map(|(_req, _dl, _fl, reply)| reply)
-                        .collect()
-                };
-                for reply in shed {
-                    reply.deliver(Err(ServeError::ShuttingDown));
-                }
+                self.shared.shed_queued();
                 break;
             }
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -503,8 +503,8 @@ impl CubeServer {
     fn join_workers(&mut self) {
         assert_unlocked();
         for w in self.workers.drain(..) {
-            // A worker that panicked already dropped its response senders;
-            // nothing to clean up, so a poisoned join is not a second crash.
+            // A worker that panicked already shed the queue on its way
+            // out (`WorkerExit`), so a failed join is not a second crash.
             let _ = w.join();
         }
     }
@@ -525,6 +525,7 @@ impl Drop for CubeServer {
 }
 
 fn worker_loop(shared: &Shared, store: &CubeStore) {
+    let _exit = WorkerExit(shared);
     // One registry lookup per worker; recording is then lock-free.
     let latency_us = store.obs().histogram(names::SERVE_QUERY_US, &[]);
     loop {
@@ -765,26 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn rates_are_never_nan() {
-        let empty = ServerStats::default();
-        assert_eq!(empty.rejection_rate(), 0.0);
-        assert_eq!(empty.deadline_miss_rate(), 0.0);
-        assert!(empty.rejection_rate().is_finite());
-        let busy = ServerStats {
-            served: 3,
-            rejected: 1,
-            deadline_exceeded: 0,
-        };
-        assert!((busy.rejection_rate() - 0.25).abs() < 1e-12);
-        let missing = ServerStats {
-            served: 2,
-            rejected: 0,
-            deadline_exceeded: 2,
-        };
-        assert!((missing.deadline_miss_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn bad_queries_fail_typed_not_crash() {
         let server = CubeServer::start(serving_store(), ServerConfig::default());
         // Slice on an ungrouped dimension is a typed refusal, not a panic.
@@ -812,7 +793,6 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.served, 0);
         assert_eq!(stats.deadline_exceeded, 1);
-        assert!((stats.deadline_miss_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -977,9 +957,11 @@ mod tests {
 
     /// A blob store whose reads block while the test holds the gate,
     /// wedging the worker mid-query so queue overflow is deterministic.
+    /// With `panics`, a segment read panics once the gate opens.
     struct GatedBlobs {
         inner: Arc<Dfs>,
         gate: Arc<Mutex<()>>,
+        panics: bool,
     }
 
     impl crate::blob::BlobStore for GatedBlobs {
@@ -989,6 +971,10 @@ mod tests {
 
         fn get(&self, path: &str) -> spcube_common::Result<Vec<u8>> {
             let _open = self.gate.lock().expect("gate");
+            assert!(
+                !(self.panics && path.ends_with(".cseg")),
+                "injected panic reading {path}"
+            );
             crate::blob::BlobStore::get(self.inner.as_ref(), path)
         }
 
@@ -1002,7 +988,7 @@ mod tests {
     }
 
     /// A one-row store whose segment reads block on `gate`.
-    fn gated_store(gate: &Arc<Mutex<()>>) -> Arc<CubeStore> {
+    fn gated_store(gate: &Arc<Mutex<()>>, panics: bool) -> Arc<CubeStore> {
         let mut rel = Relation::empty(Schema::synthetic(2));
         rel.push_row(vec![Value::Int(1), Value::Int(1)], 1.0);
         let cube = naive_cube(&rel, AggSpec::Sum);
@@ -1011,6 +997,7 @@ mod tests {
         let blobs = Arc::new(GatedBlobs {
             inner: dfs,
             gate: Arc::clone(gate),
+            panics,
         });
         // Opening reads the manifest while the gate is still open.
         Arc::new(CubeStore::open(blobs, "s").expect("open"))
@@ -1019,7 +1006,7 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_overloaded() {
         let gate = Arc::new(Mutex::new(()));
-        let store = gated_store(&gate);
+        let store = gated_store(&gate, false);
         let server = CubeServer::start(
             store,
             ServerConfig {
@@ -1058,7 +1045,7 @@ mod tests {
     #[test]
     fn queue_sheds_expired_requests_at_dequeue() {
         let gate = Arc::new(Mutex::new(()));
-        let store = gated_store(&gate);
+        let store = gated_store(&gate, false);
         let server = CubeServer::start(
             store,
             ServerConfig {
@@ -1123,7 +1110,7 @@ mod tests {
     #[test]
     fn zero_grace_shutdown_sheds_queued_work_typed() {
         let gate = Arc::new(Mutex::new(()));
-        let store = gated_store(&gate);
+        let store = gated_store(&gate, false);
         let server = CubeServer::start(
             store,
             ServerConfig {
@@ -1156,6 +1143,39 @@ mod tests {
         assert_eq!(wedged.recv().expect("answer").1, Ok(Response::Len(1)));
         let stats = shutdown.join().expect("shutdown join");
         assert_eq!(stats.served, 1);
+    }
+
+    #[test]
+    fn a_panicking_worker_sheds_its_queue_typed() {
+        // One worker, three requests: the first is in the worker when its
+        // segment read panics, two wait in the queue. Every wait is
+        // bounded, so a stranded submitter fails the test, not the suite.
+        let gate = Arc::new(Mutex::new(()));
+        let server = CubeServer::start(gated_store(&gate, true), mock_config(1, 4));
+        let closed = gate.lock().expect("gate");
+        let req = || Request::CuboidLen { mask: Mask(0b11) };
+        let in_worker = server.submit(req()).expect("first");
+        std::thread::sleep(std::time::Duration::from_millis(20)); // worker picks it up
+        let queued = [
+            server.submit(req()).expect("queued a"),
+            server.submit(req()).expect("queued b"),
+        ];
+        drop(closed);
+        let wait = std::time::Duration::from_secs(10);
+        assert_eq!(
+            in_worker.recv_timeout(wait).map(|(_, outcome)| outcome),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "the panicking worker's own request"
+        );
+        for rx in queued {
+            let (_, outcome) = rx.recv_timeout(wait).expect("a typed reply, not a hang");
+            assert_eq!(outcome, Err(ServeError::ShuttingDown));
+        }
+        assert_eq!(
+            server.submit(req()).expect_err("admission closed"),
+            ServeError::ShuttingDown
+        );
+        assert_eq!(server.shutdown().served, 0);
     }
 
     /// The message of the panic `call` raises while this thread holds a

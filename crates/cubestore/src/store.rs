@@ -211,19 +211,6 @@ pub struct StoreStats {
     pub torn_commits: u64,
 }
 
-impl StoreStats {
-    /// Hits over all segment accesses, in `[0, 1]`; `0` before any access
-    /// (never NaN — this feeds CSV output directly).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A queryable, persisted cube: one sealed generation's manifest plus
 /// lazily fetched segments.
 ///
@@ -744,7 +731,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 2);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -758,13 +744,6 @@ mod tests {
         assert!(matches!(err, Error::Config(_)), "{err}");
         let stats = store.stats();
         assert_eq!((stats.cache_misses, stats.cache_hits), (0, 0));
-    }
-
-    #[test]
-    fn hit_rate_is_never_nan() {
-        let stats = StoreStats::default();
-        assert_eq!(stats.hit_rate(), 0.0);
-        assert!(stats.hit_rate().is_finite());
     }
 
     #[test]

@@ -17,3 +17,27 @@ pub use spcube_datagen as datagen;
 pub use spcube_lattice as lattice;
 pub use spcube_mapreduce as mapreduce;
 pub use spcube_obs as obs;
+
+/// The server request for one generated query: the workload generator
+/// in `datagen` knows nothing of the cube store's request type.
+pub fn request_of(spec: &datagen::QuerySpec) -> cubestore::Request {
+    use cubestore::Request;
+    use datagen::QuerySpec;
+    match spec {
+        QuerySpec::Point { mask, key } => Request::Point {
+            mask: *mask,
+            key: key.clone(),
+        },
+        QuerySpec::Slice { mask, dim, value } => Request::Slice {
+            mask: *mask,
+            dim: *dim,
+            value: value.clone(),
+        },
+        QuerySpec::TopK { mask, n } => Request::TopK { mask: *mask, n: *n },
+        QuerySpec::RollUp { group, dim } => Request::RollUp {
+            group: group.clone(),
+            dim: *dim,
+        },
+        QuerySpec::CuboidLen { mask } => Request::CuboidLen { mask: *mask },
+    }
+}

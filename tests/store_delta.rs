@@ -27,7 +27,7 @@ use sp_cube_repro::common::{Error, Group, Mask, Relation, Schema, Value};
 use sp_cube_repro::cubealg::{naive_cube, Cube, CubeQuery, CubeRead};
 use sp_cube_repro::cubestore::{
     compact, ingest_batch, schedules, BlobStore, CompactionPolicy, CrashPlan, CubeStore, DirBlobs,
-    FaultSchedule, FaultyBlobs,
+    FaultSchedule, FaultyBlobs, IngestConfig, IngestSession,
 };
 use sp_cube_repro::datagen;
 use sp_cube_repro::mapreduce::Dfs;
@@ -307,6 +307,57 @@ fn dirblobs_ingest_sweep_recovers_on_the_real_filesystem() {
         assert_matches(&store, want, plan);
     }
     std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// A reader holds its snapshot through a concurrent ingest: a store
+/// opened before an `IngestSession::ingest` answers every cuboid with the
+/// pre-ingest truth, bit-exact, while the ingest commits on another
+/// thread (its one-segment cache keeps sending reads to the blobs), and
+/// a reopen sees the new layer.
+#[test]
+fn a_store_opened_before_a_concurrent_ingest_keeps_its_snapshot() {
+    let d = 3;
+    let rel = datagen::gen_zipf(600, d, 0xb5);
+    let parts = split(&rel, &[300]);
+    let blobs: Arc<dyn BlobStore> = Arc::new(Dfs::new());
+    ingest_batch(blobs.as_ref(), "inc", &parts[0], AggSpec::Sum).expect("seed layer");
+    let pre = truth_of(&naive_cube(&parts[0], AggSpec::Sum), d);
+    let post = truth_of(&naive_cube(&rel, AggSpec::Sum), d);
+
+    let reader = CubeStore::open(Arc::clone(&blobs), "inc")
+        .expect("open")
+        .with_cache_capacity(1);
+    let reads_pre = |store: &CubeStore| {
+        for (mask, rows) in &pre {
+            let got = store.cuboid_rows(*mask).expect("snapshot read");
+            assert_eq!(&got, rows, "cuboid {mask} left the pre-ingest snapshot");
+        }
+    };
+    let session = IngestSession::new(
+        Arc::clone(&blobs),
+        "inc",
+        AggSpec::Sum,
+        IngestConfig::default(),
+    )
+    .expect("session");
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| session.ingest(&parts[1]));
+        loop {
+            reads_pre(&reader);
+            if writer.is_finished() {
+                break;
+            }
+        }
+        writer.join().expect("ingest thread").expect("ingest");
+    });
+    reads_pre(&reader);
+
+    let fresh = CubeStore::open(blobs, "inc").expect("reopen");
+    assert_eq!(fresh.layer_count(), 2);
+    for (mask, rows) in &post {
+        let got = fresh.cuboid_rows(*mask).expect("layered read");
+        assert_eq!(&got, rows, "cuboid {mask} after the ingest");
+    }
 }
 
 /// Strategy: a small relation with clustered values (small domains force
